@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,9 @@ class BatchSizeModel:
         ``fit_overhead=True`` enables the third coefficient (fixed memory
         overhead beyond the weights); see the module docstring.
         """
+        # Imported here: scipy.optimize is ~0.4 s of import and planning never fits.
+        from scipy.optimize import least_squares
+
         if not observations:
             raise ValueError("cannot fit on zero observations")
         model_mem = observations[0].model_memory_gb

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 FormName = Literal["exponent", "literal"]
 
@@ -75,6 +74,9 @@ class ThroughputModel:
         form: FormName = "exponent",
     ) -> "ThroughputModel":
         """Fit (C2, C3, C4) as the paper does with scipy."""
+        # Imported here: scipy.optimize is ~0.4 s of import and planning never fits.
+        from scipy.optimize import curve_fit
+
         if len(observations) < 3:
             raise ValueError(f"need at least 3 observations, got {len(observations)}")
         batch = np.array([o.batch_size for o in observations], dtype=float)

@@ -48,6 +48,9 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     service: PlanningService  # bound per server by make_server()
     server_version = "repro-plan-service/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out in two sends, and Nagle would
+    # hold the body for the client's ~40 ms delayed ACK on keep-alive.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Quiet by default: the service's own metrics (/stats) are the
@@ -61,6 +64,8 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:  # this reply is the connection's last: say so
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -77,13 +82,21 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             self._send_error(404, f"unknown path {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+        # Consume the declared body before any reply, early errors included,
+        # so a keep-alive connection stays at the next request's first byte.
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's end is unknowable, so neither is the next request's start.
+            self.close_connection = True
+            self._send_error(
+                400, f"Content-Length must be a non-negative integer, got {declared!r}")
+            return
+        raw = self.rfile.read(int(declared))
         kind = _PLAN_PATHS.get(self.path)
         if kind is None:
             self._send_error(404, f"unknown path {self.path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length > 0 else b""
             body = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
             self._send_error(400, "request body is not valid JSON")

@@ -39,3 +39,8 @@ def finite_difference(f, array: np.ndarray, index, eps: float = 1e-6) -> float:
 @pytest.fixture
 def fd():
     return finite_difference
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: drives the numpy training stack end to end (tens of seconds)")

@@ -1,5 +1,9 @@
 """Tests for the analytical models (Eq. 1, Eq. 2) and their fitting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -168,3 +172,19 @@ class TestThroughputModelEq2:
         model, _ = fit_dense_sparse(dense, sparse)
         values = [model.predict(b, 0.25) for b in (1, 2, 4, 8)]
         assert values == sorted(values)
+
+
+def test_plan_entry_points_leave_scipy_optimize_unimported():
+    """Fitting imports scipy.optimize on first use; planning never fits,
+    so the plan CLIs and the service start without it."""
+    code = (
+        "import sys\n"
+        "import repro.service.serve, repro.cluster.plan, repro.spot.plan\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,10 @@
 cache bound, the TTL/stale-while-revalidate pricing catalog, request
 normalization, and the HTTP surface."""
 
+import contextlib
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -560,6 +563,19 @@ class TestServiceStalePricing:
 # HTTP surface
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def running(service):
+    """``service`` behind a live server on an ephemeral port."""
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture
 def served(tmp_path):
     """A live server on an ephemeral port with telemetry sinks wired."""
@@ -568,15 +584,9 @@ def served(tmp_path):
         telemetry_out=str(events),
         run_store=RunStore(tmp_path / "runs"),
     )
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
+    with running(service) as server:
+        host, port = server.server_address[:2]
         yield f"http://{host}:{port}", service, events, tmp_path / "runs"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def _get(url):
@@ -643,3 +653,84 @@ class TestHTTP:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert service.stats_payload()["requests"]["errors"] == 1
+
+    def test_accepted_sockets_disable_nagle(self):
+        with running(PlanningService()) as server:
+            handler = server.RequestHandlerClass  # per-server subclass
+            nodelay = []
+            original_setup = handler.setup
+
+            def setup(self):
+                original_setup(self)
+                nodelay.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+            handler.setup = setup
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+            try:
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+        assert nodelay == [1]
+
+    def test_keep_alive_connection_survives_every_reply(self):
+        """One connection carries a cold plan, its warm repeat, a 400, a
+        404 that carries a body, /healthz and /stats: each reply must
+        leave the stream at the next request's first byte."""
+
+        def exchange(method, path, body=None):
+            data = None if body is None else json.dumps(body).encode("utf-8")
+            conn.request(method, path, body=data)
+            response = conn.getresponse()
+            assert response.getheader("Content-Type") == "application/json"
+            return response.status, json.loads(response.read())
+
+        service = PlanningService()
+        with running(service) as server:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=120)
+            try:
+                status, cold = exchange("POST", "/plan/cluster", MIXTRAL_A40)
+                assert status == 200 and cold["engine"]["simulations"] > 0
+                sock = conn.sock
+
+                status, warm = exchange("POST", "/plan/cluster", MIXTRAL_A40)
+                assert status == 200 and warm["engine"]["simulations"] == 0
+                del cold["engine"], warm["engine"]
+                assert warm == cold
+
+                status, body = exchange("POST", "/plan/cluster", {"model": "nope"})
+                assert status == 400 and "unknown model" in body["error"]
+
+                status, body = exchange("POST", "/plan/nope", MIXTRAL_A40)
+                assert (status, body) == (404, {"error": "unknown path '/plan/nope'"})
+
+                assert exchange("GET", "/healthz") == (200, {"status": "ok"})
+
+                status, stats = exchange("GET", "/stats")
+                assert status == 200
+                assert stats["requests"]["total"] == 3
+                assert stats["requests"]["errors"] == 1  # planning failures only
+                assert conn.sock is sock  # never reconnected
+            finally:
+                conn.close()
+
+    @pytest.mark.parametrize("declared", ["-2", "twelve"])
+    def test_unframeable_body_gets_400_then_close(self, declared):
+        with running(PlanningService()) as server:
+            with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+                sock.sendall(
+                    f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {declared}\r\n\r\n"
+                    "{}GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".encode("ascii")
+                )
+                received = b""
+                # Until the server closes; a reset still means closed.
+                with contextlib.suppress(ConnectionResetError):
+                    while chunk := sock.recv(65536):
+                        received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and repr(declared) in error
