@@ -14,19 +14,15 @@ Table IV workload (Mixtral sparse on MATH-14k x 10 epochs) three ways:
    data-parallel sweep and *priced* by ``parallelism="auto"``, which
    shards it across a TP group (the library form of
    ``python -m repro.cluster.plan --parallelism auto --max-tp 8``);
-5. a persistent trace store — the second plan *process* starts warm and
-   simulates nothing (the library form of the CLIs' ``--cache-dir`` /
-   ``$REPRO_CACHE_DIR`` flag, e.g.
-   ``python -m repro.cluster.plan --model mixtral --cache-dir ~/.cache/repro-traces``).
+5. a warm repeat — a second plan on the same in-memory cache simulates
+   nothing (what keeps the planning service's repeated requests cheap).
 
 Run:  python examples/plan_cluster.py
 """
 
-import tempfile
-
 from repro.cluster import ClusterPlanner
 from repro.gpu import A40, H100, NVLINK, PCIE_GEN4
-from repro.scenarios import DiskTraceStore, SimulationCache, default_cache
+from repro.scenarios import SimulationCache, default_cache
 
 
 def pareto_frontier() -> None:
@@ -91,24 +87,17 @@ def tensor_parallel_rescue() -> None:
     print("  -> unfittable cells are now planner candidates, not skip reasons\n")
 
 
-def warm_start_from_disk() -> None:
-    print("=== Persistent trace store: plans that start warm ===")
-    with tempfile.TemporaryDirectory() as cache_dir:
-        # First process: cold — simulates, and populates the store.
-        cold_cache = SimulationCache(store=DiskTraceStore(cache_dir))
-        ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cold_cache).plan(
-            providers=("cudo",), densities=(False,)
-        )
-        print(f"  cold plan:  {cold_cache.stats().simulations} simulations")
-        # Second process (fresh cache, same dir): warm from disk alone.
-        warm_cache = SimulationCache(store=DiskTraceStore(cache_dir))
-        ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=warm_cache).plan(
-            providers=("cudo",), densities=(False,)
-        )
-        stats = warm_cache.stats()
-        print(f"  warm plan:  {stats.simulations} simulations "
-              f"({stats.disk_hits} traces loaded from disk)")
-    print("  -> point --cache-dir (or $REPRO_CACHE_DIR) at a real directory\n")
+def warm_repeat() -> None:
+    print("=== A warm repeat: the second plan simulates nothing ===")
+    cache = SimulationCache()
+    planner = ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache)
+    planner.plan(providers=("cudo",), densities=(False,))
+    cold = cache.stats().simulations
+    print(f"  cold plan:  {cold} simulations")
+    planner.plan(providers=("cudo",), densities=(False,))
+    print(f"  warm plan:  {cache.stats().simulations - cold} simulations")
+    print("  -> one long-lived process (python -m repro.service.serve) keeps "
+          "every later request warm\n")
 
 
 if __name__ == "__main__":
@@ -116,7 +105,7 @@ if __name__ == "__main__":
     overnight_deadline()
     interconnect_tax()
     tensor_parallel_rescue()
-    warm_start_from_disk()
+    warm_repeat()
     stats = default_cache().stats()
     print(f"(scenario cache: {stats.hits} hits / {stats.misses} misses — "
           f"every cluster size reused its replica's trace)")

@@ -25,7 +25,7 @@ def custom_sweep() -> None:
         dense=(True, False),
         batch_sizes=(1, 2, 4, 8),
     )
-    runner = SweepRunner(jobs=4)  # worker threads; row order stays deterministic
+    runner = SweepRunner()  # serial; rows come back in grid order
     print(f"\nCustom sweep ({len(grid)} scenarios):")
     for point in runner.run(grid):
         print(f"  {point.label:<28} {point.queries_per_second:>6.2f} queries/s")

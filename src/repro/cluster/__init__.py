@@ -15,8 +15,7 @@ explores them with the same machinery the single-GPU reproduction uses:
   (wall-clock, dollars) plus the cheapest/fastest configurations meeting
   a deadline and/or budget.
 * ``python -m repro.cluster.plan`` — the pre-hoc "what will this
-  fine-tune cost?" CLI, with ``--json``/``--jobs`` mirroring the report
-  runner.
+  fine-tune cost?" CLI, with ``--json`` mirroring the report runner.
 """
 
 from ..scenarios import ScenarioGrid, register_preset

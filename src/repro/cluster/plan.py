@@ -4,21 +4,15 @@ Usage::
 
     python -m repro.cluster.plan --model mixtral --gpu a40 --deadline-hours 24 --json
     python -m repro.cluster.plan --model blackmamba --budget 50
-    python -m repro.cluster.plan --model mixtral --dataset openorca --jobs 4
+    python -m repro.cluster.plan --model mixtral --dataset openorca
     python -m repro.cluster.plan --model mixtral --density dense --gpu a40 \\
         --parallelism auto --max-tp 8 --grad-accum 1,4
-    python -m repro.cluster.plan --model mixtral --cache-dir ~/.cache/repro-traces \\
-        --executor process --jobs 4
 
 Mirrors ``repro.experiments.report``: ``--json`` for machine-readable
-output, ``--jobs``/``--executor`` for parallel sweeps (order-independent
-by design — the plan is byte-identical at any job count and executor),
-``--cache-dir`` (or ``$REPRO_CACHE_DIR``) for the disk-backed trace store
-that lets a plan answer in seconds without re-simulating the world, and
-the shared telemetry flags (``--telemetry``, ``--telemetry-out FILE``,
-``--run-store DIR`` / ``$REPRO_RUN_STORE`` — the latter feeds
-``python -m repro.telemetry.analyze``/``compare``). Model
-and GPU names are resolved case-insensitively with unique-prefix
+output and the shared telemetry flags (``--telemetry``,
+``--telemetry-out FILE``, ``--run-store DIR`` / ``$REPRO_RUN_STORE`` —
+the latter feeds ``python -m repro.telemetry.analyze``/``compare``).
+Model and GPU names are resolved case-insensitively with unique-prefix
 matching, so ``--model mixtral --gpu a40`` means the paper-scale Mixtral
 on the A40.
 """
@@ -31,7 +25,6 @@ from typing import List, Optional, Sequence
 from ..gpu.multigpu import INTERCONNECTS
 from ..gpu.specs import GPU_REGISTRY
 from ..models.registry import MODEL_REGISTRY
-from ..scenarios import SimulationCache, resolve_store
 from ..serialization import dumps
 from ..telemetry import add_telemetry_arguments, begin_telemetry, finish_telemetry
 from .planner import (
@@ -148,28 +141,6 @@ def _parse_densities(density: str) -> Sequence[bool]:
     return {"sparse": (False,), "dense": (True,), "both": (False, True)}[density]
 
 
-def resolve_plan_cache(cache_dir: Optional[str]) -> Optional[SimulationCache]:
-    """A cache tiered onto the ``--cache-dir`` / ``$REPRO_CACHE_DIR``
-    store, or ``None`` (the process-global default cache) when neither is
-    set. Shared by the cluster and spot plan CLIs."""
-    store = resolve_store(cache_dir)
-    return SimulationCache(store=store) if store is not None else None
-
-
-def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The scenario-engine knobs every plan CLI exposes."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers (plan output is identical at any "
-                             "job count)")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread); "
-                             "process workers share the --cache-dir store")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="disk-backed trace store; a pre-populated store makes "
-                             "the plan simulate nothing (default: $REPRO_CACHE_DIR "
-                             "if set, else no persistence)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.plan",
@@ -202,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock target the recommendation must meet")
     parser.add_argument("--budget", type=float, default=None, dest="budget_dollars",
                         help="dollar target the recommendation must meet")
-    add_engine_arguments(parser)
     add_telemetry_arguments(parser)
     parser.add_argument("--top", type=int, default=10,
                         help="frontier rows in the text table (default: 10)")
@@ -228,9 +198,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         epochs=args.epochs,
         num_queries=args.num_queries,
         seq_len=args.seq_len,
-        cache=resolve_plan_cache(args.cache_dir),
-        jobs=args.jobs,
-        executor=args.executor,
     )
     plan = planner.plan(
         gpus=gpus,

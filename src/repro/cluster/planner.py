@@ -16,9 +16,8 @@ catalog, and returns
   configurations where going faster necessarily costs more;
 * the cheapest and fastest configurations meeting the target.
 
-Determinism: candidate construction is pure and ordering is by explicit
-sort keys, so ``jobs > 1`` (which only parallelizes the trace sweep)
-never changes a plan.
+Determinism: the trace sweep is serial, candidate construction is pure
+and ordering is by explicit sort keys, so equal inputs give equal plans.
 """
 
 from __future__ import annotations
@@ -281,8 +280,6 @@ class ClusterPlanner:
         seq_len: Optional[int] = None,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.cfg = get_model_spec(model).config if isinstance(model, str) else model
@@ -304,8 +301,6 @@ class ClusterPlanner:
         self.epochs = epochs
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         self.cache = resolve_cache(cache)
-        self.jobs = jobs
-        self.executor = executor
         self.tracer = resolve_tracer(tracer)
         # The most recent plan's swept grid, kept for run manifests
         # (telemetry computes its digest only when a flag asks for it).
@@ -512,11 +507,7 @@ class ClusterPlanner:
                 sp.attributes["skipped"] = len(skipped)
             self.last_grid = grid
             with tracer.span("planner.simulate"):
-                runner = SweepRunner(
-                    cache=self.cache, jobs=self.jobs, executor=self.executor,
-                    tracer=tracer,
-                )
-                points = runner.run(grid)
+                points = SweepRunner(cache=self.cache, tracer=tracer).run(grid)
             with tracer.span("planner.strategy"):
                 estimates = []
                 for point in points:

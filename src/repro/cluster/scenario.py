@@ -10,13 +10,11 @@ distinguishes two kinds of axis:
   inherited :meth:`Scenario.key` excludes them: the
   :class:`~repro.scenarios.cache.SimulationCache` memoizes one *replica*
   trace that every cluster size, interconnect and accumulation depth
-  shares — and, because :meth:`Scenario.canonical_text` is built from
-  the same key, existing disk stores stay warm across the strategy
-  refactor. Scaling a sweep from 1 to 8 GPUs never re-simulates.
+  shares. Scaling a sweep from 1 to 8 GPUs never re-simulates.
 * **tensor parallelism changes the per-device work** (each device runs a
   weight shard), so a TP strategy injects the ``tensor_parallel``
   workload override into the scenario's ``overrides`` axis: the key (and
-  the disk digest) change with the TP degree, and the cached trace *is*
+  :meth:`Scenario.digest`) change with the TP degree, and the cached trace *is*
   the sharded per-device step. All cluster sizes and ``grad_accum``
   depths at one TP degree still share that one sharded trace.
 

@@ -76,16 +76,12 @@ class FineTuningCostModel:
         dense: bool = False,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> None:
         self.cfg = cfg
         self.seq_len = seq_len
         self.dense = dense
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         self.cache = resolve_cache(cache)
-        self.jobs = jobs
-        self.executor = executor
 
     @classmethod
     def for_dataset(
@@ -95,8 +91,6 @@ class FineTuningCostModel:
         dense: bool = False,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> "FineTuningCostModel":
         """Build a cost model using the dataset's padded sequence length."""
         if dataset_key not in EFFECTIVE_SEQ_LEN:
@@ -107,8 +101,6 @@ class FineTuningCostModel:
             dense=dense,
             catalog=catalog,
             cache=cache,
-            jobs=jobs,
-            executor=executor,
         )
 
     # ------------------------------------------------------------------
@@ -120,11 +112,9 @@ class FineTuningCostModel:
         def fit() -> ThroughputModel:
             dense_obs = collect_throughput_observations(
                 self.cfg, gpu, self.seq_len, dense=True, cache=self.cache,
-                jobs=self.jobs, executor=self.executor,
             )
             sparse_obs = collect_throughput_observations(
                 self.cfg, gpu, self.seq_len, dense=False, cache=self.cache,
-                jobs=self.jobs, executor=self.executor,
             )
             observations = dense_obs + sparse_obs
             if len(observations) < 3:

@@ -73,8 +73,6 @@ def collect_throughput_observations(
     batch_sizes: Optional[Sequence[int]] = None,
     simulator: Optional[GPUSimulator] = None,
     cache: Optional[SimulationCache] = None,
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> List[ThroughputObservation]:
     """Sweep batch sizes through the scenario engine, as the paper sweeps
     hardware.
@@ -102,5 +100,4 @@ def collect_throughput_observations(
             )
             for s in grid
         ]
-    runner = SweepRunner(cache=cache, jobs=jobs, executor=executor)
-    return observations_from_sweep(runner.run(grid))
+    return observations_from_sweep(SweepRunner(cache=cache).run(grid))

@@ -131,7 +131,7 @@ class NoWallClock(Rule):
         "Deterministic paths must take timestamps as arguments: the run "
         "store 'never reads the clock' (run ids are functions of their "
         "inputs, so tests and replays are deterministic), and results "
-        "must be byte-identical at any --jobs/--executor. Only the "
+        "must be byte-identical from run to run. Only the "
         "measurement layer (telemetry, profiling, training.trainer) may "
         "call time.time()/perf_counter()/datetime.now()."
     )
@@ -269,9 +269,10 @@ class NoBuiltinHashPersistence(Rule):
         "hash() is salted per interpreter process (PYTHONHASHSEED), so "
         "any key, digest, or filename derived from it breaks across "
         "runs — the bug class Scenario.digest() (sha256 over canonical "
-        "text) was built to kill, and what keeps disk stores warm "
-        "between processes. Builtin hash() is legitimate only when "
-        "implementing __hash__ for in-process dict/set use."
+        "text) was built to kill, and what keeps run-manifest grid "
+        "digests stable between processes. Builtin hash() is "
+        "legitimate only when implementing __hash__ for in-process "
+        "dict/set use."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -342,7 +343,7 @@ class AtomicWrites(Rule):
     id = "atomic-writes"
     summary = "persistence-layer writes go through temp-file + os.replace"
     rationale = (
-        "DiskTraceStore/RunStore contract: concurrent readers (and "
+        "RunStore/telemetry-export contract: concurrent readers (and "
         "crashed writers) must only ever see complete entries, so every "
         "truncating write under repro.scenarios / repro.telemetry uses "
         "the temp-file + os.replace idiom. A bare open(path, 'w') that "
@@ -387,8 +388,8 @@ class AtomicWrites(Rule):
                         self.id,
                         f"non-atomic write open(..., {spelled!r}) with no "
                         "os.replace in the enclosing function — use the "
-                        "temp-file + os.replace idiom (DiskTraceStore/"
-                        "RunStore contract)",
+                        "temp-file + os.replace idiom (RunStore/"
+                        "telemetry-export contract)",
                     )
                 )
             elif (
@@ -401,8 +402,8 @@ class AtomicWrites(Rule):
                         self.id,
                         f".{node.func.attr}() truncates in place with no "
                         "os.replace in the enclosing function — use the "
-                        "temp-file + os.replace idiom (DiskTraceStore/"
-                        "RunStore contract)",
+                        "temp-file + os.replace idiom (RunStore/"
+                        "telemetry-export contract)",
                     )
                 )
         return findings

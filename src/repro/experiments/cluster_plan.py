@@ -21,12 +21,10 @@ DEADLINE_HOURS = 24.0
 EPOCHS = 10
 
 
-def run(jobs: int = 1, cache: SimulationCache | None = None,
-        executor: str = "thread") -> ExperimentResult:
+def run(cache: SimulationCache | None = None) -> ExperimentResult:
     result = ExperimentResult("cluster", "Cluster plan: Mixtral sparse, MATH-14k (Pareto)")
     planner = ClusterPlanner(
-        "mixtral-8x7b", dataset="math14k", epochs=EPOCHS, cache=cache, jobs=jobs,
-        executor=executor,
+        "mixtral-8x7b", dataset="math14k", epochs=EPOCHS, cache=cache,
     )
     plan = planner.plan(
         gpus=(A40, H100),
@@ -68,7 +66,6 @@ def run(jobs: int = 1, cache: SimulationCache | None = None,
     # cell — tensor parallelism shards it into fitting and prices it.
     tp_planner = ClusterPlanner(
         "mixtral-8x7b", dataset="hellaswag", epochs=EPOCHS, cache=cache,
-        jobs=jobs, executor=executor,
     )
     tp_kwargs = dict(gpus=(A40,), providers=("cudo",), densities=(True,))
     dp_plan = tp_planner.plan(parallelism="dp", **tp_kwargs)

@@ -25,21 +25,17 @@ PAPER_RMSE = {
 def run(
     gpu=A40,
     form: str = "exponent",
-    jobs: int = 1,
     cache: SimulationCache | None = None,
-    executor: str = "thread",
 ) -> ExperimentResult:
     result = ExperimentResult("fig14", f"Eq. 2 throughput fit on {gpu.name}")
     for cfg in (MIXTRAL_8X7B, BLACKMAMBA_2_8B):
         for dataset in ("commonsense15k", "math14k"):
             seq_len = EFFECTIVE_SEQ_LEN[dataset]
             dense = collect_throughput_observations(
-                cfg, gpu, seq_len, dense=True, cache=cache, jobs=jobs,
-                executor=executor,
+                cfg, gpu, seq_len, dense=True, cache=cache,
             )
             sparse = collect_throughput_observations(
-                cfg, gpu, seq_len, dense=False, cache=cache, jobs=jobs,
-                executor=executor,
+                cfg, gpu, seq_len, dense=False, cache=cache,
             )
             model, rmse = fit_dense_sparse(dense, sparse, form=form)
             key = f"{cfg.family}_{dataset}"

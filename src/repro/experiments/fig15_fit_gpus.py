@@ -24,20 +24,16 @@ PAPER_RMSE = {
 
 def run(
     form: str = "exponent",
-    jobs: int = 1,
     cache: SimulationCache | None = None,
-    executor: str = "thread",
 ) -> ExperimentResult:
     result = ExperimentResult("fig15", "Eq. 2 throughput fit on other GPUs (Mixtral-CS)")
     seq_len = EFFECTIVE_SEQ_LEN["commonsense15k"]
     for gpu in (A100_40, A100_80, H100):
         dense = collect_throughput_observations(
-            MIXTRAL_8X7B, gpu, seq_len, dense=True, cache=cache, jobs=jobs,
-            executor=executor,
+            MIXTRAL_8X7B, gpu, seq_len, dense=True, cache=cache,
         )
         sparse = collect_throughput_observations(
-            MIXTRAL_8X7B, gpu, seq_len, dense=False, cache=cache, jobs=jobs,
-            executor=executor,
+            MIXTRAL_8X7B, gpu, seq_len, dense=False, cache=cache,
         )
         if len(dense) + len(sparse) < 3:
             result.add(f"{gpu.name}_rmse", float("nan"),

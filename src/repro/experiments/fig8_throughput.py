@@ -63,10 +63,9 @@ def grid(gpu=A40) -> ScenarioGrid:
 register_preset("fig8", grid, overwrite=True)  # idempotent across reloads
 
 
-def run(gpu=A40, jobs: int = 1, cache: SimulationCache | None = None,
-        executor: str = "thread") -> ExperimentResult:
+def run(gpu=A40, cache: SimulationCache | None = None) -> ExperimentResult:
     result = ExperimentResult("fig8", "Fine-tuning throughput (queries/second)")
-    runner = SweepRunner(cache=cache, jobs=jobs, executor=executor)
+    runner = SweepRunner(cache=cache)
     for point in runner.run(grid(gpu)):
         result.add(point.label, point.queries_per_second, PAPER.get(point.label))
     # Headline claims as explicit rows.

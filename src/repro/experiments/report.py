@@ -5,19 +5,13 @@ Usage::
 
     python -m repro.experiments.report             # fast artifacts only
     python -m repro.experiments.report --training  # include Fig. 3 / Fig. 11
-    python -m repro.experiments.report --jobs 4    # parallel sweeps
-    python -m repro.experiments.report --jobs 4 --executor process
-    python -m repro.experiments.report --cache-dir ~/.cache/repro-traces
     python -m repro.experiments.report --json      # machine-readable output
 
 The text output mirrors EXPERIMENTS.md: one table per artifact with
 measured values next to the paper's published numbers. All simulation
 flows through the shared scenario cache, so a second report pass in the
-same process performs zero redundant ``simulate_step`` calls — and with
-``--cache-dir`` (or ``$REPRO_CACHE_DIR``) the cache gains a disk tier,
-so a second report *process* starts warm too. ``--executor process``
-fans the sweeps over a process pool whose workers share that store; the
-report is byte-identical at any job count and executor.
+same process performs zero redundant ``simulate_step`` calls. The
+sweeps run serially, so the report is deterministic.
 
 ``--telemetry``/``--telemetry-out``/``--run-store`` trace the run
 (phase tree, JSONL event log, append-only run store for
@@ -31,7 +25,7 @@ import argparse
 import inspect
 from typing import Any, Dict, List
 
-from ..scenarios import default_cache, resolve_store
+from ..scenarios import default_cache
 from ..serialization import dumps, json_value as _json_value
 from ..telemetry import (
     add_telemetry_arguments,
@@ -48,8 +42,8 @@ TRAINING_EXPERIMENTS = ("fig3", "fig11")
 
 def _run_module(module, **kwargs) -> ExperimentResult:
     """Call ``module.run`` with only the kwargs its signature accepts, so
-    engine knobs (``jobs``) reach the refactored experiments without
-    forcing every module onto one signature."""
+    ``scale`` reaches the training experiments without forcing every
+    module onto one signature."""
     parameters = inspect.signature(module.run).parameters
     return module.run(**{k: v for k, v in kwargs.items() if k in parameters})
 
@@ -57,8 +51,6 @@ def _run_module(module, **kwargs) -> ExperimentResult:
 def collect_results(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> Dict[str, ExperimentResult]:
     """Execute the suite; training artifacts only when requested."""
     results: Dict[str, ExperimentResult] = {}
@@ -68,27 +60,16 @@ def collect_results(
             if key in TRAINING_EXPERIMENTS and not include_training:
                 continue
             with tracer.span(f"experiment.{key}"):
-                results[key] = _run_module(
-                    module, scale=scale, jobs=jobs, executor=executor
-                )
+                results[key] = _run_module(module, scale=scale)
     return results
 
 
 def report_payload(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> Dict[str, Any]:
-    """The report as a JSON-serializable structure (``--json``).
-
-    Everything in the payload is independent of ``jobs`` and
-    ``executor`` (cache telemetry included — process-pool sweeps replay
-    their accounting in grid order), so the JSON report is byte-identical
-    at any parallelism setting.
-    """
-    results = collect_results(include_training=include_training, scale=scale,
-                              jobs=jobs, executor=executor)
+    """The report as a JSON-serializable structure (``--json``)."""
+    results = collect_results(include_training=include_training, scale=scale)
     experiments = []
     for key, result in results.items():
         experiments.append(
@@ -112,19 +93,16 @@ def report_payload(
         "experiments": experiments,
         "skipped": [k for k in TRAINING_EXPERIMENTS if k not in results],
         "cache": {"hits": stats.hits, "misses": stats.misses,
-                  "disk_hits": stats.disk_hits, "entries": stats.entries},
+                  "entries": stats.entries},
     }
 
 
 def run_report(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> str:
     """Execute experiments and return the combined report text."""
-    results = collect_results(include_training=include_training, scale=scale,
-                              jobs=jobs, executor=executor)
+    results = collect_results(include_training=include_training, scale=scale)
     sections: List[str] = []
     for key in ALL_EXPERIMENTS:
         if key not in results:
@@ -138,9 +116,8 @@ def run_report(
             sections.append(f"   -> {matched}/{compared} paper-comparable rows within 50%")
     stats = default_cache().stats()
     sections.append(
-        f"== scenario cache: {stats.hits} hits / {stats.disk_hits} disk hits / "
-        f"{stats.misses} misses ({stats.entries} traces, "
-        f"{stats.simulations} simulations) =="
+        f"== scenario cache: {stats.hits} hits / {stats.misses} misses "
+        f"({stats.entries} traces, {stats.simulations} simulations) =="
     )
     return "\n\n".join(sections)
 
@@ -151,35 +128,19 @@ def main(argv: List[str] | None = None) -> int:
                         help="also run the training-based experiments (Fig. 3, Fig. 11)")
     parser.add_argument("--scale", default="smoke", choices=("smoke", "bench", "full"),
                         help="size preset for the training experiments")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers (default 1); with --executor thread "
-                             "gains are GIL-limited, with --executor process the "
-                             "sweeps use real cores")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread); "
-                             "process workers share the --cache-dir store")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="disk-backed trace store; report runs start warm from "
-                             "it and warm it for the next run (default: "
-                             "$REPRO_CACHE_DIR if set, else no persistence)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON instead of tables")
     add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
-    # Attach the disk tier to the process-global cache so every consumer
-    # (including experiments that don't take a cache argument) inherits it.
-    default_cache().attach_store(resolve_store(args.cache_dir))
     begin_telemetry(args)
     if args.as_json:
-        payload = report_payload(include_training=args.training, scale=args.scale,
-                                 jobs=args.jobs, executor=args.executor)
+        payload = report_payload(include_training=args.training, scale=args.scale)
         block = finish_telemetry(args, "repro.experiments.report", default_cache())
         if block is not None:
             payload["telemetry"] = block
         print(dumps(payload, indent=2))
     else:
-        print(run_report(include_training=args.training, scale=args.scale,
-                         jobs=args.jobs, executor=args.executor))
+        print(run_report(include_training=args.training, scale=args.scale))
         finish_telemetry(args, "repro.experiments.report", default_cache())
     return 0
 

@@ -23,8 +23,7 @@ EPOCHS = 10
 TRIALS = 256  # enough for stable p50/p95 at report speed
 
 
-def run(jobs: int = 1, cache: SimulationCache | None = None,
-        executor: str = "thread") -> ExperimentResult:
+def run(cache: SimulationCache | None = None) -> ExperimentResult:
     result = ExperimentResult(
         "spot", "Spot risk plan: Mixtral sparse, MATH-14k (risk-adjusted Pareto)"
     )
@@ -32,8 +31,8 @@ def run(jobs: int = 1, cache: SimulationCache | None = None,
     # while the batched Monte Carlo still runs, so the closed-form-vs-MC
     # agreement row below keeps validating the model every report pass.
     planner = RiskAdjustedPlanner(
-        "mixtral-8x7b", dataset="math14k", epochs=EPOCHS, cache=cache, jobs=jobs,
-        executor=executor, trials=TRIALS, risk_mode="both",
+        "mixtral-8x7b", dataset="math14k", epochs=EPOCHS, cache=cache,
+        trials=TRIALS, risk_mode="both",
     )
     plan = planner.plan_spot(
         gpus=(A40, H100),

@@ -30,11 +30,10 @@ EPOCHS = 10
 GPU_CANDIDATES = (A40, A100_80, H100)
 
 
-def run(jobs: int = 1, cache: SimulationCache | None = None,
-        executor: str = "thread") -> ExperimentResult:
+def run(cache: SimulationCache | None = None) -> ExperimentResult:
     result = ExperimentResult("table4", "Cost of fine-tuning Mixtral (sparse)")
     cost_model = FineTuningCostModel.for_dataset(
-        MIXTRAL_8X7B, "gsm8k", dense=False, cache=cache, jobs=jobs, executor=executor
+        MIXTRAL_8X7B, "gsm8k", dense=False, cache=cache
     )
     num_queries = dataset_num_queries("math14k")
     estimates = cost_model.rank_gpus(GPU_CANDIDATES, num_queries, epochs=EPOCHS)
@@ -49,7 +48,7 @@ def run(jobs: int = 1, cache: SimulationCache | None = None,
 
     # OpenOrca (2M queries) projection on the H100.
     orca_model = FineTuningCostModel.for_dataset(
-        MIXTRAL_8X7B, "openorca", dense=False, cache=cache, jobs=jobs, executor=executor
+        MIXTRAL_8X7B, "openorca", dense=False, cache=cache
     )
     orca = orca_model.estimate(H100, dataset_num_queries("openorca"), epochs=EPOCHS)
     result.add("openorca_h100_cost", orca.dollars, PAPER_OPENORCA_COST)

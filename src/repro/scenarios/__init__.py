@@ -8,20 +8,15 @@ sweep a first-class object:
   GPU, density, batch, seq_len, overrides) space;
 * :class:`ScenarioGrid` — declarative enumeration (cartesian products,
   batch sweeps, filters, named presets);
-* :class:`SimulationCache` — memoized ``simulate_step`` traces keyed by
-  scenario, with hit/miss accounting, optionally tiered onto a
-  :class:`DiskTraceStore` so warmth survives the process;
-* :class:`DiskTraceStore` — persistent traces keyed by
-  :meth:`Scenario.digest` (sha256 of the canonical scenario text), with
-  versioned entries, atomic writes and corruption tolerance;
-* :class:`SweepRunner` — deterministic (optionally parallel) grid
-  execution feeding experiment results; ``executor="process"`` fans
-  grids out over a process pool whose workers warm the shared store.
+* :class:`SimulationCache` — thread-safe, in-memory ``simulate_step``
+  traces keyed by scenario, with hit/miss accounting and an optional
+  LRU bound;
+* :class:`SweepRunner` — serial, deterministic grid execution feeding
+  experiment results.
 
 Every experiment, the Eq. 2 fitting helpers and the cost model run their
 sweeps through this engine, so one process simulates each distinct point
-exactly once no matter how many consumers ask for it — and with a cache
-dir attached, across processes too.
+exactly once no matter how many consumers ask for it.
 """
 
 from .cache import (
@@ -35,12 +30,9 @@ from .grid import ScenarioGrid, preset, preset_names, register_preset
 from .runner import SweepPoint, SweepRunner
 from .scenario import Scenario, canonical_value, freeze_overrides
 from .singleflight import InFlightMap, SingleFlight
-from .store import ENV_CACHE_DIR, DiskTraceStore, resolve_store
 
 __all__ = [
     "CacheStats",
-    "DiskTraceStore",
-    "ENV_CACHE_DIR",
     "InFlightMap",
     "Scenario",
     "ScenarioGrid",
@@ -56,5 +48,4 @@ __all__ = [
     "register_preset",
     "reset_default_cache",
     "resolve_cache",
-    "resolve_store",
 ]

@@ -14,13 +14,12 @@ explicit one, so independent experiments executed in one process share
 traces. Traces are pure functions of the scenario, so cross-consumer
 reuse is always sound.
 
-The cache is tiered: memory first, then (when a
-:class:`~repro.scenarios.store.DiskTraceStore` is attached) disk, then
-the simulator — so a process pointed at a warm store starts warm instead
-of cold. ``stats()`` separates the tiers: ``hits`` (memory, plus derived
-results), ``disk_hits``, ``misses``, and ``simulations`` — the ground
+The cache lives in memory only. ``stats()`` reports ``hits`` (traces
+plus derived results), ``misses``, and ``simulations`` — the ground
 truth "how many times did ``simulate_step`` actually run", which is what
-the zero-redundant-simulation acceptance criteria assert against.
+the zero-redundant-simulation acceptance criteria assert against. A
+bounded cache (``capacity=N``) drops least-recently-used entries; a
+later lookup of a dropped entry simply simulates it again.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ from ..gpu.trace import StepTrace
 from ..telemetry.metrics import MetricsRegistry
 from .scenario import ModelConfig, Scenario, freeze_overrides
 from .singleflight import InFlightMap
-from .store import DiskTraceStore
-
-# Provenance of a fetched trace (also reported by process-pool workers so
-# the parent can replay the lookup accounting deterministically).
-MEMORY = "memory"
-DISK = "disk"
-SIMULATED = "simulated"
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ class CacheStats:
     hits: int
     misses: int
     entries: int
-    disk_hits: int = 0
     simulations: int = 0
     risk_hits: int = 0
     risk_misses: int = 0
@@ -72,35 +63,21 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.disk_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """The **any-tier** hit rate: the fraction of lookups served
-        without running the simulator, i.e. ``(memory hits + disk hits)
-        / lookups``. A disk hit counts as a hit here — the consumer got
-        a trace without paying for a simulation. For the stricter
-        "served from resident memory" view use :attr:`memory_hit_rate`;
-        both share the same denominator (``lookups`` = hits + disk_hits
-        + misses), so the two rates differ exactly by the disk tier's
-        share."""
-        return (self.hits + self.disk_hits) / self.lookups if self.lookups else 0.0
-
-    @property
-    def memory_hit_rate(self) -> float:
-        """The **memory-only** hit rate: ``hits / lookups``. Disk hits
-        count against this rate (they were not resident), which is what
-        a "how warm is this process" question wants, as opposed to
-        :attr:`hit_rate`'s "how often did we avoid simulating"."""
+        """The fraction of lookups served from memory: ``hits / lookups``."""
         return self.hits / self.lookups if self.lookups else 0.0
 
 
 class SimulationCache:
     """Memoizes :meth:`GPUSimulator.simulate_step` traces by scenario key.
 
-    Thread-safe: a sweep running with ``jobs > 1`` shares one cache. Each
-    simulator instance is also cached per GPU spec so repeated sweeps on
-    the same hardware reuse one simulator.
+    Thread-safe: the planning service's request threads share one cache,
+    and concurrent misses on one key collapse into a single computation.
+    Each simulator instance is also cached per GPU spec so repeated
+    sweeps on the same hardware reuse one simulator.
 
     Scenario subclasses that extend the space with axes the per-device
     step does not depend on (``repro.cluster.ClusterScenario``'s
@@ -111,26 +88,20 @@ class SimulationCache:
     def __init__(
         self,
         overheads: Optional[Dict[str, SoftwareOverhead]] = None,
-        store: Optional[DiskTraceStore] = None,
         metrics: Optional[MetricsRegistry] = None,
         capacity: Optional[int] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self._overheads = overheads
-        self.store = store
         # None = unbounded (the CLI default: a sweep is finite). A
-        # long-lived server sets a bound; the memory tier then evicts
-        # least-recently-used entries, spilling them to the disk store
-        # (when attached) so an evicted trace is a disk hit later, never
-        # a re-simulation. Traces and derived results are bounded
-        # independently, each to `capacity` entries.
+        # long-lived server sets a bound; the cache then drops
+        # least-recently-used entries, and a later lookup recomputes
+        # them. Traces and derived results are bounded independently,
+        # each to `capacity` entries.
         self._capacity = capacity
         self._simulators: Dict[GPUSpec, GPUSimulator] = {}
         self._traces: Dict[Tuple, StepTrace] = {}
-        # Scenario per resident trace key, so eviction can address the
-        # disk store (which is keyed by Scenario.digest(), not key()).
-        self._scenarios: Dict[Tuple, Scenario] = {}
         self._derived: Dict[Tuple, object] = {}
         # Trace keys and derived keys live in disjoint in-flight maps: a
         # derived key that happened to equal a trace key must not make one
@@ -145,42 +116,28 @@ class SimulationCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hits = self.metrics.counter("cache.hits")
         self._misses = self.metrics.counter("cache.misses")
-        self._disk_hits = self.metrics.counter("cache.disk_hits")
         self._simulations = self.metrics.counter("cache.simulations")
         self._risk_hits = self.metrics.counter("cache.risk_hits")
         self._risk_misses = self.metrics.counter("cache.risk_misses")
         self._evictions = self.metrics.counter("cache.evictions")
-        # Per-source fetch latency: how long a lookup took depending on
-        # which tier answered it. Process-pool sweeps replay worker
-        # observations through adopt(), so the *counts* (though not the
-        # durations) are independent of --jobs/--executor.
-        self._fetch_seconds = {
-            MEMORY: self.metrics.histogram("cache.fetch.memory_seconds"),
-            DISK: self.metrics.histogram("cache.fetch.disk_seconds"),
-            SIMULATED: self.metrics.histogram("cache.fetch.simulated_seconds"),
-        }
+        # Trace lookup latency, split by whether the lookup was served
+        # from memory or had to simulate.
+        self._memory_seconds = self.metrics.histogram("cache.fetch.memory_seconds")
+        self._simulated_seconds = self.metrics.histogram("cache.fetch.simulated_seconds")
         self._memoize_seconds = {
             "derived": self.metrics.histogram("cache.memoize.derived_seconds"),
             "risk": self.metrics.histogram("cache.memoize.risk_seconds"),
         }
 
-    def attach_store(self, store: Optional[DiskTraceStore]) -> None:
-        """Attach (or with ``None`` detach) the disk tier. Used by the
-        CLIs to bolt ``--cache-dir`` onto the process-global default
-        cache so every consumer inherits persistence."""
-        self.store = store
-
     @property
     def capacity(self) -> Optional[int]:
-        """The LRU bound on the memory tier (``None`` = unbounded)."""
+        """The LRU bound (``None`` = unbounded)."""
         return self._capacity
 
     # ------------------------------------------------------------------
-    # LRU plumbing. All three helpers are called with self._lock held —
-    # they are the "check/install/evict" half of an operation whose
-    # hit/miss accounting must be atomic — except _spill, which performs
-    # the eviction's disk I/O and therefore runs *after* the lock is
-    # released.
+    # LRU plumbing. Both helpers are called with self._lock held — they
+    # are the "check/install/evict" half of an operation whose hit/miss
+    # accounting must be atomic.
     def _touch(self, key: Tuple) -> None:
         """Mark ``key`` most-recently-used (caller holds ``_lock``).
         Only bounded caches pay the reorder; unbounded ones keep the
@@ -188,41 +145,15 @@ class SimulationCache:
         if self._capacity is not None and key in self._traces:
             self._traces[key] = self._traces.pop(key)  # repro: allow[lock-discipline] caller holds self._lock
 
-    def _install(self, key: Tuple, scenario: Scenario, trace: StepTrace) -> list:
-        """Install a resolved trace (caller holds ``_lock``), evicting
-        least-recently-used entries past ``capacity``. Returns the
-        evicted ``(scenario, trace)`` pairs for :meth:`_spill`."""
+    def _install(self, key: Tuple, trace: StepTrace) -> None:
+        """Install a simulated trace (caller holds ``_lock``), dropping
+        least-recently-used entries past ``capacity``."""
         self._traces[key] = trace  # repro: allow[lock-discipline] caller holds self._lock
-        self._scenarios[key] = scenario  # repro: allow[lock-discipline] caller holds self._lock
-        evicted = []
         if self._capacity is None:
-            return evicted
-        while len(self._traces) > self._capacity:
-            old_key = next(iter(self._traces))
-            old_trace = self._traces.pop(old_key)  # repro: allow[lock-discipline] caller holds self._lock
-            old_scenario = self._scenarios.pop(old_key, None)  # repro: allow[lock-discipline] caller holds self._lock
-            self._evictions.inc()
-            if old_scenario is not None:
-                evicted.append((old_scenario, old_trace))
-        return evicted
-
-    def _spill(self, evicted: list) -> None:
-        """Best-effort write-back of evicted traces to the disk tier
-        (outside the lock), so a bounded cache with a store attached
-        never turns an eviction into a future re-simulation. Entries
-        already on disk (the common case: simulated traces are written
-        back at fetch time) are skipped; write failures degrade the
-        entry to recomputable, they never raise."""
-        store = self.store
-        if store is None or not evicted:
             return
-        for scenario, trace in evicted:
-            try:
-                if store.path_for(scenario.digest()).exists():
-                    continue
-                store.put(scenario, trace)
-            except OSError:
-                pass
+        while len(self._traces) > self._capacity:
+            self._traces.pop(next(iter(self._traces)))  # repro: allow[lock-discipline] caller holds self._lock
+            self._evictions.inc()
 
     # ------------------------------------------------------------------
     def simulator(self, gpu: GPUSpec) -> GPUSimulator:
@@ -235,19 +166,11 @@ class SimulationCache:
             return sim
 
     def simulate(self, scenario: Scenario) -> StepTrace:
-        """The step trace for one scenario, simulating at most once."""
-        return self.fetch(scenario)[0]
+        """The step trace for one scenario, simulating at most once.
 
-    def fetch(self, scenario: Scenario) -> Tuple[StepTrace, str]:
-        """The step trace plus its provenance: ``MEMORY``, ``DISK`` or
-        ``SIMULATED``.
-
-        Tiers resolve in that order; a disk hit is promoted into memory
-        and a simulated trace is written back to the store (when one is
-        attached), so both warm every later consumer. Concurrent misses
-        on the same key collapse: one thread resolves the tail tiers
-        while the others wait on the in-flight marker, so duplicate
-        points in a parallel sweep never run ``simulate_step`` twice.
+        Concurrent misses on the same key collapse: one thread simulates
+        while the others wait on the in-flight marker, so concurrent
+        requests for one point never run ``simulate_step`` twice.
         """
         started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
         key = scenario.key()
@@ -257,26 +180,15 @@ class SimulationCache:
                 if trace is not None:
                     self._touch(key)
                     self._hits.inc()
-                    self._fetch_seconds[MEMORY].observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                    return trace, MEMORY
+                    self._memory_seconds.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
+                    return trace
                 event, leader = self._inflight_traces.claim(key)
                 if leader:
-                    break  # this thread resolves disk/simulate
+                    self._misses.inc()
+                    self._simulations.inc()
+                    break  # this thread simulates
             event.wait()  # another thread is computing; re-read after it
         try:
-            store = self.store
-            if store is not None:
-                trace = store.get(scenario)
-                if trace is not None:
-                    with self._lock:
-                        self._disk_hits.inc()
-                        evicted = self._install(key, scenario, trace)
-                    self._spill(evicted)
-                    self._fetch_seconds[DISK].observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                    return trace, DISK
-            with self._lock:
-                self._misses.inc()
-                self._simulations.inc()
             sim = self.simulator(scenario.gpu_spec)
             trace = sim.simulate_step(
                 scenario.config,
@@ -286,67 +198,14 @@ class SimulationCache:
                 **scenario.overrides_dict(),
             )
             with self._lock:
-                evicted = self._install(key, scenario, trace)
-            self._spill(evicted)
-            if store is not None:
-                # Persistence is best-effort, mirroring the store's read
-                # contract: a full or read-only cache volume degrades the
-                # run to unpersisted, it does not crash a sweep whose
-                # simulation already succeeded.
-                try:
-                    store.put(scenario, trace)
-                except OSError:
-                    pass
-            self._fetch_seconds[SIMULATED].observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-            return trace, SIMULATED
+                self._install(key, trace)
+            self._simulated_seconds.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
+            return trace
         finally:
             # On failure waiters loop, find no trace, and one retries.
             with self._lock:
                 self._inflight_traces.release(key)
             event.set()
-
-    def adopt(
-        self,
-        scenario: Scenario,
-        trace: StepTrace,
-        source: str,
-        seconds: Optional[float] = None,
-    ) -> StepTrace:
-        """Install a trace resolved by a process-pool worker, replaying
-        the accounting of the tier the worker hit (``source``): a key
-        already in memory counts a hit (and keeps the resident trace, for
-        identity stability); otherwise the worker's disk hit or
-        simulation is counted here exactly as a local lookup would have
-        been — which is what keeps ``--executor process`` reports
-        byte-identical to serial runs, cache telemetry included.
-
-        ``seconds`` is the worker's measured fetch latency; it is
-        replayed into the tier's latency histogram so the observation
-        *counts* match a serial run exactly (the durations are the
-        worker's own — wall-clock is the one thing replay cannot fake).
-        """
-        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
-        key = scenario.key()
-        with self._lock:
-            existing = self._traces.get(key)
-            if existing is not None:
-                self._touch(key)
-                self._hits.inc()
-                self._fetch_seconds[MEMORY].observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                return existing
-            evicted = self._install(key, scenario, trace)
-            if source == DISK:
-                self._disk_hits.inc()
-            else:
-                self._misses.inc()
-                if source == SIMULATED:
-                    self._simulations.inc()
-        self._spill(evicted)
-        tier = source if source in self._fetch_seconds else SIMULATED
-        self._fetch_seconds[tier].observe(
-            seconds if seconds is not None else time.perf_counter() - started  # repro: allow[no-wall-clock] telemetry latency measurement
-        )
-        return trace
 
     def trace(
         self,
@@ -412,9 +271,6 @@ class SimulationCache:
             with self._lock:
                 self._derived[key] = value
                 if self._capacity is not None:
-                    # Derived results have no disk tier: eviction means
-                    # recompute-on-next-use, which bounded servers accept
-                    # in exchange for bounded memory.
                     while len(self._derived) > self._capacity:
                         self._derived.pop(next(iter(self._derived)))
                         self._evictions.inc()
@@ -433,7 +289,6 @@ class SimulationCache:
             hits=self._hits.value,
             misses=self._misses.value,
             entries=entries,
-            disk_hits=self._disk_hits.value,
             simulations=self._simulations.value,
             risk_hits=self._risk_hits.value,
             risk_misses=self._risk_misses.value,
@@ -442,20 +297,17 @@ class SimulationCache:
 
     def clear(self) -> None:
         """Drop all cached traces/simulators/derived results and reset
-        the counters. The attached disk store (if any) is left intact —
-        persistence outliving process state is its whole point."""
+        the counters."""
         with self._lock:
             self._traces.clear()
-            self._scenarios.clear()
             self._simulators.clear()
             self._derived.clear()
         # Reset only this cache's instruments, not the whole registry —
         # a shared registry may carry other layers' metrics.
-        for counter in (self._hits, self._misses, self._disk_hits,
-                        self._simulations, self._risk_hits, self._risk_misses,
-                        self._evictions):
+        for counter in (self._hits, self._misses, self._simulations,
+                        self._risk_hits, self._risk_misses, self._evictions):
             counter.reset()
-        for histogram in (*self._fetch_seconds.values(),
+        for histogram in (self._memory_seconds, self._simulated_seconds,
                           *self._memoize_seconds.values()):
             histogram.reset()
 

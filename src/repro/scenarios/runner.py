@@ -1,69 +1,23 @@
 """Bulk execution of scenario grids.
 
 :class:`SweepRunner` turns a grid into a list of :class:`SweepPoint`
-results — optionally concurrent via ``concurrent.futures`` — with
-result order always equal to grid order regardless of ``jobs`` or
-``executor``, so concurrency never changes a report.
-
-Two executors:
-
-* ``executor="thread"`` (default) — a thread pool sharing one
-  :class:`SimulationCache`, so duplicate points collapse into single
-  simulations. Simulation is pure Python, so threads buy cache sharing
-  and determinism, not GIL-bound wall-clock speedup.
-* ``executor="process"`` — a ``ProcessPoolExecutor`` over contiguous
-  grid chunks, for grids large enough to amortize pickling. Workers
-  cannot share the parent's memory, so they share the parent cache's
-  :class:`~repro.scenarios.store.DiskTraceStore` instead (when one is
-  attached): every worker warms the store, and a warm store means no
-  worker simulates at all. Each worker reports its traces *with
-  provenance* (memory/disk/simulated) and the parent replays the lookup
-  accounting in grid order, so results, ordering and cache telemetry are
-  identical to a serial run.
+results, one per scenario in grid order. It runs serially against one
+:class:`SimulationCache`: a ``simulate_step`` call costs well under a
+millisecond, so no thread or process pool pays for its start-up, and
+duplicate points collapse into one simulation through the cache.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from ..gpu.trace import StepTrace
 from ..telemetry.tracer import Tracer, resolve_tracer
 from .cache import SimulationCache, resolve_cache
 from .grid import ScenarioGrid
 from .scenario import Scenario
-
-EXECUTORS = ("thread", "process")
-
-# Chunks per worker in process mode: >1 so a slow chunk (big batch sizes
-# simulate slower) doesn't serialize the tail, small enough that pickling
-# overhead stays amortized.
-_CHUNKS_PER_JOB = 4
-
-
-def _simulate_chunk(
-    scenarios: Sequence[Scenario],
-    store_root: Optional[str],
-    overheads,
-) -> List[Tuple[StepTrace, str, float]]:
-    """Process-pool worker: resolve one contiguous chunk of the grid
-    through a fresh cache tiered onto the shared disk store (when the
-    parent has one), returning each trace with its provenance and fetch
-    latency so the parent can replay accounting — counters *and* latency
-    histograms. Top-level so it pickles."""
-    from .store import DiskTraceStore
-
-    store = DiskTraceStore(store_root) if store_root else None
-    cache = SimulationCache(overheads=overheads, store=store)
-    results: List[Tuple[StepTrace, str, float]] = []
-    for scenario in scenarios:
-        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
-        trace, source = cache.fetch(scenario)
-        results.append((trace, source, time.perf_counter() - started))  # repro: allow[no-wall-clock] telemetry latency measurement
-    return results
 
 
 @dataclass(frozen=True)
@@ -113,84 +67,20 @@ class SweepRunner:
     def __init__(
         self,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.cache = resolve_cache(cache)
-        self.jobs = max(1, int(jobs))
-        self.executor = executor
         self.tracer = resolve_tracer(tracer)
 
     def run(self, grid: ScenarioGrid) -> List[SweepPoint]:
-        """Simulate every scenario; results are in grid order.
-
-        The run is traced as one ``sweep.run`` span with a single
-        ``sweep.execute`` child regardless of executor — the executor and
-        job count are span *attributes*, never span structure, so the
-        span tree shape is identical at any parallelism setting (the
-        telemetry analogue of the byte-identical-results contract).
-        """
+        """Simulate every scenario; results are in grid order. The run
+        is traced as one ``sweep.run`` span."""
         scenarios = list(grid)
-        with self.tracer.span(
-            "sweep.run", cells=len(scenarios), jobs=self.jobs, executor=self.executor
-        ):
-            with self.tracer.span("sweep.execute"):
-                if self.jobs == 1 or len(scenarios) <= 1:
-                    traces = [self.cache.simulate(s) for s in scenarios]
-                elif self.executor == "process":
-                    traces = self._run_process(scenarios)
-                else:
-                    with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                        traces = list(pool.map(self.cache.simulate, scenarios))
-        return [
-            SweepPoint(index=i, scenario=s, trace=t)
-            for i, (s, t) in enumerate(zip(scenarios, traces))
-        ]
-
-    def _run_process(self, scenarios: List[Scenario]) -> List[StepTrace]:
-        """Chunked process-pool dispatch; traces reassembled in grid
-        order and adopted into the parent cache, so downstream consumers
-        (and the accounting) see exactly what a serial run would.
-
-        Only scenarios *missing* from the parent's memory tier are
-        dispatched, deduplicated by key — workers cannot see the parent's
-        memory, so shipping resident or repeated points would re-simulate
-        work this process already has. The replay below resolves resident
-        points through the normal fetch path (a memory hit, as serially)
-        and duplicates through :meth:`SimulationCache.adopt` (first
-        occurrence takes the worker's provenance and measured latency,
-        the rest count hits)."""
-        pending: dict = {}
-        for scenario in scenarios:
-            if scenario not in self.cache and scenario.key() not in pending:
-                pending[scenario.key()] = scenario
-        dispatch = list(pending.values())
-        resolved: dict = {}
-        if dispatch:
-            store = self.cache.store
-            store_root = str(store.root) if store is not None else None
-            size = max(1, math.ceil(len(dispatch) / (self.jobs * _CHUNKS_PER_JOB)))
-            chunks = [dispatch[i : i + size] for i in range(0, len(dispatch), size)]
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks))) as pool:
-                futures = [
-                    pool.submit(_simulate_chunk, chunk, store_root, self.cache._overheads)
-                    for chunk in chunks
-                ]
-                chunk_results = [future.result() for future in futures]
-            for chunk, results in zip(chunks, chunk_results):
-                for scenario, outcome in zip(chunk, results):
-                    resolved[scenario.key()] = outcome
-        traces: List[StepTrace] = []
-        for scenario in scenarios:
-            outcome = resolved.get(scenario.key())
-            if outcome is None:  # was resident at dispatch time
-                traces.append(self.cache.simulate(scenario))
-            else:
-                traces.append(self.cache.adopt(scenario, *outcome))
-        return traces
+        with self.tracer.span("sweep.run", cells=len(scenarios)):
+            return [
+                SweepPoint(index=i, scenario=s, trace=self.cache.simulate(s))
+                for i, s in enumerate(scenarios)
+            ]
 
     def throughputs(self, grid: ScenarioGrid) -> List[float]:
         return [point.queries_per_second for point in self.run(grid)]

@@ -143,14 +143,12 @@ class Scenario:
         """Process-stable canonical rendering of :meth:`key`.
 
         :meth:`key` tuples are hashable but ``hash()`` is salted per
-        interpreter run, so they cannot name disk entries. This text is a
-        deterministic rendering of the *resolved* key — equal keys always
-        produce equal text, across processes and runs — and is what
-        :meth:`digest` (and therefore the
-        :class:`~repro.scenarios.store.DiskTraceStore` layout) is built
-        on. Subclasses that inherit :meth:`key` (cluster/spot scenarios)
-        inherit the canonical text too, so they share disk entries the
-        same way they share in-memory traces.
+        interpreter run, so they cannot identify a scenario across
+        processes. This text is a deterministic rendering of the
+        *resolved* key — equal keys always produce equal text, across
+        processes and runs — and is what :meth:`digest` is built on.
+        Subclasses that inherit :meth:`key` (cluster/spot scenarios)
+        inherit the canonical text too.
         """
         config, gpu, batch_size, seq_len, dense, overrides = self.key()
         return ";".join(
@@ -166,7 +164,7 @@ class Scenario:
 
     def digest(self) -> str:
         """sha256 hex digest of :meth:`canonical_text` — the scenario's
-        cross-process identity, used to key disk-store entries."""
+        cross-process identity, hashed into a run manifest's grid digest."""
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
     def label(self, include_gpu: bool = False, include_seq_len: bool = False) -> str:

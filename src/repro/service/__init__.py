@@ -5,21 +5,22 @@ question — "what will this fine-tune cost?" — re-paid interpreter
 startup and cache warm-up per query. This package keeps one process
 alive around the planners (:class:`~repro.cluster.planner.ClusterPlanner`
 and :class:`~repro.spot.planner.RiskAdjustedPlanner`) so every request
-shares one warm :class:`~repro.scenarios.cache.SimulationCache` (plus
-its disk tier), and adds three server-grade performance layers:
+shares one warm :class:`~repro.scenarios.cache.SimulationCache`, and
+adds three server-grade performance layers:
 
 * **request coalescing** — concurrent requests with the same canonical
   request digest share one plan computation (and receive byte-identical
   responses), via :class:`~repro.scenarios.singleflight.SingleFlight`;
 * **bounded memory** — an optional LRU ``capacity`` on the shared cache
-  evicts to the disk tier instead of growing without bound;
+  drops least-recently-used entries (a later use recomputes them)
+  instead of growing without bound;
 * **live pricing** — a :class:`PricingCatalog` that refreshes from a
   file/URL feed with a TTL cache and stale-while-revalidate semantics,
   so plans stay servable (marked ``pricing_stale``) when the feed dies.
 
 Run it::
 
-    python -m repro.service.serve --port 8423 --cache-dir ~/.cache/repro-traces
+    python -m repro.service.serve --port 8423
 
 Endpoints: ``POST /plan/cluster``, ``POST /plan/spot`` (JSON bodies
 mirroring the CLI flags), ``GET /healthz``, ``GET /stats``.

@@ -1,8 +1,8 @@
 """The planning service: request normalization, coalescing, planning.
 
 One :class:`PlanningService` owns the shared warm state — a
-:class:`~repro.scenarios.cache.SimulationCache` (optionally LRU-bounded
-and disk-tiered), a :class:`~repro.service.catalog.PricingCatalog`, and
+:class:`~repro.scenarios.cache.SimulationCache` (optionally
+LRU-bounded), a :class:`~repro.service.catalog.PricingCatalog`, and
 a :class:`~repro.scenarios.singleflight.SingleFlight` request coalescer
 — and answers ``plan("cluster" | "spot", body)`` with the serialized
 JSON response. The HTTP layer (:mod:`repro.service.serve`) is a thin
@@ -12,9 +12,8 @@ in-process without sockets.
 Request bodies mirror the plan CLIs' flags field-for-field (``model``,
 ``gpu``, ``num_gpus``, ``deadline_hours``, ... — see
 :func:`normalize_cluster_request` / :func:`normalize_spot_request`),
-with identical defaults, so a disk store prewarmed by
-``python -m repro.cluster.plan`` serves the equivalent service request
-without a single simulation.
+with identical defaults, so a service request and the equivalent CLI
+invocation produce the same plan.
 
 Coalescing key: the sha256 of the *normalized* request (not the raw
 body — two spellings of the same sweep are one key) plus the pricing
@@ -50,7 +49,6 @@ from ..cluster.planner import (
 )
 from ..gpu.multigpu import INTERCONNECTS
 from ..scenarios import SimulationCache, SingleFlight
-from ..scenarios.store import DiskTraceStore
 from ..serialization import dumps
 from ..spot.planner import (
     DEFAULT_CONFIDENCE,
@@ -149,17 +147,22 @@ def _name_list(body, field, resolver: Callable[[str], str]) -> Optional[List[str
     return names
 
 
-def _positive_list(body, field, convert, default):
+def _positive_list(body, field, kind, default):
     """A scalar or list of positive numbers, deduped preserving order —
-    the body-level mirror of the CLIs' repeatable comma-separated flags."""
+    the body-level mirror of the CLIs' repeatable comma-separated flags.
+    With ``kind=int`` every entry must be an integer that is not a bool
+    (:func:`_int_field`'s rule); with ``kind=float`` any number is
+    accepted and converted."""
     value = body.get(field)
     if value is None:
         return list(default) if default is not None else None
+    accepted = int if kind is int else (int, float)
     items = []
     for item in _listify(value, field):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise RequestError(f"{field!r} entries must be numbers, got {item!r}")
-        item = convert(item)
+        if isinstance(item, bool) or not isinstance(item, accepted):
+            noun = "whole numbers" if kind is int else "numbers"
+            raise RequestError(f"{field!r} entries must be {noun}, got {item!r}")
+        item = kind(item)
         if not item > 0:
             raise RequestError(f"{field!r} entries must be positive, got {item}")
         items.append(item)
@@ -296,24 +299,19 @@ class PlanningService:
         self,
         cache: Optional[SimulationCache] = None,
         capacity: Optional[int] = None,
-        store: Optional[DiskTraceStore] = None,
         pricing: Optional[PricingCatalog] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         telemetry: bool = False,
         telemetry_out: Optional[str] = None,
         run_store=None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if cache is None:
-            cache = SimulationCache(store=store, capacity=capacity)
-        elif store is not None or capacity is not None:
-            raise ValueError("pass either an explicit cache or store/capacity, not both")
+            cache = SimulationCache(capacity=capacity)
+        elif capacity is not None:
+            raise ValueError("pass either an explicit cache or a capacity, not both")
         self.cache = cache
         self.pricing = pricing if pricing is not None else PricingCatalog()
         self.flight = SingleFlight()
-        self._jobs = jobs
-        self._executor = executor
         self._telemetry_out = telemetry_out
         self._run_store = run_store
         self._traced = bool(telemetry or telemetry_out or run_store is not None)
@@ -376,7 +374,6 @@ class PlanningService:
             "engine": {
                 "simulations": after.simulations - before.simulations,
                 "hits": after.hits - before.hits,
-                "disk_hits": after.disk_hits - before.disk_hits,
                 "misses": after.misses - before.misses,
                 "risk_hits": after.risk_hits - before.risk_hits,
                 "risk_misses": after.risk_misses - before.risk_misses,
@@ -398,8 +395,6 @@ class PlanningService:
             seq_len=request["seq_len"],
             catalog=catalog,
             cache=self.cache,
-            jobs=self._jobs,
-            executor=self._executor,
             tracer=tracer,
         )
         sweep = dict(
@@ -445,12 +440,7 @@ class PlanningService:
         cache's own accounting, JSONL rewrite, run-store ingest, and the
         response's telemetry block."""
         grid = planner.last_grid
-        snapshots = [self.cache.metrics.snapshot()]
-        store = self.cache.store
-        if store is not None and getattr(store, "metrics", None) is not None:
-            snapshots.append(store.metrics.snapshot())
-        snapshots.append(self.metrics.snapshot())
-        snapshot = merge_snapshots(*snapshots)
+        snapshot = merge_snapshots(self.cache.metrics.snapshot(), self.metrics.snapshot())
         manifest = build_manifest(
             f"repro.service.plan_{kind}",
             request,
@@ -486,7 +476,6 @@ class PlanningService:
             "flight": self.flight.stats(),
             "cache": {
                 "hits": stats.hits,
-                "disk_hits": stats.disk_hits,
                 "misses": stats.misses,
                 "simulations": stats.simulations,
                 "risk_hits": stats.risk_hits,

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.service.serve --port 8423 --cache-dir ~/.cache/repro-traces
+    python -m repro.service.serve --port 8423
     python -m repro.service.serve --capacity 4096 --pricing-feed prices.json \\
         --telemetry-out /tmp/service-events.jsonl --run-store /tmp/runstore
 
@@ -17,10 +17,8 @@ Stdlib-only: a :class:`ThreadingHTTPServer` dispatching to one shared
 what request coalescing coalesces — but all planning state is the
 service's (thread-safe) cache, so the handler layer stays stateless.
 
-``--cache-dir`` / ``$REPRO_CACHE_DIR`` and ``--run-store`` /
-``$REPRO_RUN_STORE`` resolve exactly like the plan CLIs' flags, so a
-store prewarmed by ``python -m repro.cluster.plan`` makes the server's
-first matching request simulate nothing.
+``--run-store`` / ``$REPRO_RUN_STORE`` resolves exactly like the plan
+CLIs' flag.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 
-from ..scenarios import resolve_store
 from ..serialization import dumps
 from ..telemetry.runstore import resolve_run_store
 from .app import PlanningService, RequestError
@@ -140,17 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"bind port, 0 for ephemeral (default: {DEFAULT_PORT})")
     parser.add_argument("--capacity", type=int, default=None, metavar="N",
-                        help="LRU bound on resident traces and derived results "
-                             "(evictions fall back to --cache-dir when set; "
-                             "default: unbounded)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers per request (plan output is "
-                             "identical at any job count)")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="disk-backed trace store shared with the plan CLIs "
-                             "(default: $REPRO_CACHE_DIR if set, else none)")
+                        help="LRU bound on resident traces and derived results; "
+                             "an evicted entry is recomputed on its next use "
+                             "(default: unbounded)")
     parser.add_argument("--pricing-feed", default=None, metavar="PATH_OR_URL",
                         help="live pricing feed: a JSON file path or http(s) URL "
                              "speaking PriceCatalog.to_payload()'s layout "
@@ -179,12 +168,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         service = PlanningService(
             capacity=args.capacity,
-            store=resolve_store(args.cache_dir),
             pricing=PricingCatalog(
                 feed=args.pricing_feed, ttl_seconds=args.pricing_ttl
             ),
-            jobs=args.jobs,
-            executor=args.executor,
             telemetry=args.telemetry,
             telemetry_out=args.telemetry_out,
             run_store=resolve_run_store(args.run_store),

@@ -4,30 +4,27 @@ Usage::
 
     python -m repro.spot.plan --model mixtral --gpu a40 --deadline-hours 24 --confidence 0.95 --json
     python -m repro.spot.plan --model mixtral --mtbp-hours 2 --checkpoint-minutes 10,30,60
-    python -m repro.spot.plan --model blackmamba --spot only --budget 50 --jobs 4
+    python -m repro.spot.plan --model blackmamba --spot only --budget 50
 
-Mirrors ``python -m repro.cluster.plan`` (same model/GPU resolution, same
-``--json``/``--jobs``/``--executor``/``--cache-dir`` contract plus the
-telemetry flags ``--telemetry``/``--telemetry-out``/``--run-store``,
-the last feeding the run store that
-``python -m repro.telemetry.analyze``/``compare`` consume — output is
-byte-identical at any job count and executor, Monte Carlo seeds included,
-and a pre-populated trace store makes the plan simulate nothing) and adds
-the risk knobs: ``--spot``
-selects the tiers, ``--risk-mode`` the percentile engine (``analytic``,
-the default, serves p50/p95/completion probability from the closed-form
-distribution with no sampling; ``mc`` runs the batched Monte Carlo;
-``both`` serves analytic and validates with MC — analytic serves, MC
-validates), ``--mtbp-hours`` overrides every provider's mean time
-between preemptions, ``--checkpoint-minutes`` offers checkpoint cadences
-(each spot candidate adopts the best one; without the flag every
-candidate gets Daly's closed-form optimum ``sqrt(2*MTBP*C)`` for its own
-fleet hazard and per-shard write cost), and ``--confidence`` sets the
-completion-probability target a deadline must be met with. The
-parallelism axes (``--parallelism dp|tp|auto``, ``--max-tp``,
-``--grad-accum``) are inherited from the cluster planner; checkpoint
-write/restart costs under tensor parallelism use the per-device sharded
-state.
+Mirrors ``python -m repro.cluster.plan`` (same model/GPU resolution,
+same ``--json`` output plus the telemetry flags
+``--telemetry``/``--telemetry-out``/``--run-store``, the last feeding
+the run store that ``python -m repro.telemetry.analyze``/``compare``
+consume; output is deterministic, Monte Carlo seeds included) and adds
+the risk knobs: ``--spot`` selects the tiers, ``--risk-mode`` the
+percentile engine (``analytic``, the default, serves p50/p95/completion
+probability from the closed-form distribution with no sampling; ``mc``
+runs the batched Monte Carlo; ``both`` serves analytic and validates
+with MC — analytic serves, MC validates), ``--mtbp-hours`` overrides
+every provider's mean time between preemptions, ``--checkpoint-minutes``
+offers checkpoint cadences (each spot candidate adopts the best one;
+without the flag every candidate gets Daly's closed-form optimum
+``sqrt(2*MTBP*C)`` for its own fleet hazard and per-shard write cost),
+and ``--confidence`` sets the completion-probability target a deadline
+must be met with. The parallelism axes (``--parallelism dp|tp|auto``,
+``--max-tp``, ``--grad-accum``) are inherited from the cluster planner;
+checkpoint write/restart costs under tensor parallelism use the
+per-device sharded state.
 """
 
 from __future__ import annotations
@@ -39,11 +36,9 @@ from ..cluster.plan import (
     _parse_densities,
     _parse_num_gpus,
     _parse_positive_csv,
-    add_engine_arguments,
     add_parallelism_arguments,
     resolve_gpu_name,
     resolve_model_key,
-    resolve_plan_cache,
     validate_parallelism_args,
 )
 from ..gpu.multigpu import INTERCONNECTS
@@ -123,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"Monte Carlo trials per spot candidate (default: {DEFAULT_TRIALS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="base Monte Carlo seed (per-candidate seeds derive from it)")
-    add_engine_arguments(parser)
     add_telemetry_arguments(parser)
     parser.add_argument("--top", type=int, default=10,
                         help="frontier rows in the text table (default: 10)")
@@ -156,9 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         epochs=args.epochs,
         num_queries=args.num_queries,
         seq_len=args.seq_len,
-        cache=resolve_plan_cache(args.cache_dir),
-        jobs=args.jobs,
-        executor=args.executor,
         mtbp_hours=args.mtbp_hours,
         checkpoint_minutes=checkpoint_minutes,
         trials=args.trials,

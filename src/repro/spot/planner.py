@@ -414,8 +414,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
         seq_len: Optional[int] = None,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         markets: Optional[Mapping[str, SpotMarket]] = None,
         mtbp_hours: Optional[float] = None,
         checkpoint_minutes: Optional[Sequence[float]] = None,
@@ -434,8 +432,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             seq_len=seq_len,
             catalog=catalog,
             cache=cache,
-            jobs=jobs,
-            executor=executor,
             tracer=tracer,
         )
         self.markets = dict(markets) if markets is not None else {}
@@ -475,7 +471,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
 
     def _seed_for(self, candidate: ClusterCandidate) -> int:
         """Candidate-deterministic Monte Carlo seed: stable across runs,
-        processes and ``--jobs`` (crc32, unlike ``hash()``, is unsalted)."""
+        processes and candidate order (crc32, unlike ``hash()``, is unsalted)."""
         return self.seed ^ zlib.crc32(candidate.label.encode())
 
     def _policy_for(self, interval_minutes: float, tensor_parallel: int) -> CheckpointPolicy:

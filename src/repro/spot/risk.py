@@ -44,9 +44,7 @@ each failure; ``MAX_ATTEMPTS_PER_SEGMENT``) are preserved so
 abandoned-trial semantics match the segment process exactly. Seeding
 contract: one PCG64 stream per ``simulate`` call; blocks are drawn for
 the unresolved pairs in ascending (trial, segment) order, so results are
-deterministic for a given ``(seed, trials, inputs)`` — and simulation is
-plan post-processing (never inside the parallel trace sweep), so
-``--jobs``/``--executor`` cannot change a distribution. Degenerate
+deterministic for a given ``(seed, trials, inputs)``. Degenerate
 inputs (hazard so high a segment almost never completes) are cut off by
 the guards and reported as ``inf`` — the serialization layer maps those
 to ``null`` in ``--json`` output.
@@ -528,9 +526,7 @@ class SpotSimulator:
 
     Deterministic: the same ``(seed, trials, inputs)`` always produces
     the same distribution (one ``numpy.random.default_rng(seed)`` stream,
-    consumed in ascending (trial, segment) pair order per round), and
-    simulation happens in plan post-processing (never inside the
-    parallel trace sweep), so ``--jobs`` cannot change a plan.
+    consumed in ascending (trial, segment) pair order per round).
     """
 
     def __init__(

@@ -9,15 +9,14 @@ through the scenario engine, both planners and the three CLIs:
 
 * :class:`Tracer` / :class:`Span` — nested timed phases with a
   context-manager API and a process-global default (disabled until a
-  CLI's ``--telemetry`` flag turns it on), plus deterministic
-  reassembly of process-pool workers' spans;
+  CLI's ``--telemetry`` flag turns it on);
 * :class:`MetricsRegistry` — named counters/gauges/histograms; the
   simulation cache's ``CacheStats`` counters are stored here now, and
-  fetch/memoize latencies land in per-source histograms;
+  lookup/memoize latencies land in histograms;
 * exporters — a JSONL event writer (``--telemetry-out``), the
   ``--json`` payloads' flag-gated ``"telemetry"`` block, and the
   human-readable phase tree printed under ``--telemetry``;
-* run manifests — version + args + grid digest + cache provenance +
+* run manifests — version + args + grid digest + cache counters +
   per-phase wall-clock, the reproducibility record for benchmark
   trajectories and (eventually) service request logs;
 * a schema validator (:func:`validate_event`/:func:`validate_file`,

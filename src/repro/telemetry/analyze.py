@@ -13,10 +13,9 @@ answering the questions a JSONL file alone cannot:
   descent), i.e. the single chain of nested phases that explains the
   most wall-clock.
 * **Phase breakdown** — the manifest's per-phase wall-clock table.
-* **Cache-efficiency audit** — derived rates over the ``cache.*`` /
-  ``store.*`` / ``risk.*`` counters: any-tier vs memory-only hit rate
-  (same semantics as ``CacheStats``), simulations per lookup, risk
-  memoization hit rate, store read/write/corruption traffic.
+* **Cache-efficiency audit** — derived rates over the ``cache.*``
+  counters: hit rate (same semantics as ``CacheStats``), simulations
+  per lookup, risk memoization hit rate.
 * **Latency percentiles** — p50/p95 estimates from the histograms'
   log-spaced buckets (:func:`~repro.telemetry.metrics.quantile_from_buckets`).
 
@@ -190,35 +189,26 @@ def _counters(metric_events: Sequence[Dict[str, object]]) -> Dict[str, int]:
 
 
 def cache_audit(metric_events: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Derived cache-efficiency rates from the run's counters. Rate
-    semantics match ``CacheStats`` exactly: *any-tier* hit rate counts
-    disk hits as hits (served without simulating), *memory* hit rate
-    does not, both over the same ``lookups`` denominator."""
+    """Derived cache-efficiency rates from the run's counters. The hit
+    rate matches ``CacheStats.hit_rate`` exactly: ``hits / lookups``."""
     counters = _counters(metric_events)
     hits = counters.get("cache.hits", 0)
-    disk_hits = counters.get("cache.disk_hits", 0)
     misses = counters.get("cache.misses", 0)
     simulations = counters.get("cache.simulations", 0)
     risk_hits = counters.get("cache.risk_hits", 0)
     risk_misses = counters.get("cache.risk_misses", 0)
-    lookups = hits + disk_hits + misses
+    lookups = hits + misses
     risk_lookups = risk_hits + risk_misses
     return {
         "lookups": lookups,
         "hits": hits,
-        "disk_hits": disk_hits,
         "misses": misses,
         "simulations": simulations,
-        "hit_rate": (hits + disk_hits) / lookups if lookups else 0.0,
-        "memory_hit_rate": hits / lookups if lookups else 0.0,
+        "hit_rate": hits / lookups if lookups else 0.0,
         "simulations_per_lookup": simulations / lookups if lookups else 0.0,
         "risk_hits": risk_hits,
         "risk_misses": risk_misses,
         "risk_hit_rate": risk_hits / risk_lookups if risk_lookups else 0.0,
-        "store_reads": counters.get("store.read_hits", 0)
-        + counters.get("store.read_misses", 0),
-        "store_writes": counters.get("store.writes", 0),
-        "store_corrupt_entries": counters.get("store.corrupt_entries", 0),
     }
 
 
@@ -329,15 +319,13 @@ def render_profile(profile: Dict[str, object], label: str, top: int = 10) -> str
     lines.append("")
     lines.append("-- cache audit --")
     lines.append(
-        f"lookups {cache['lookups']} · any-tier hit rate "
-        f"{cache['hit_rate'] * 100:.1f}% · memory {cache['memory_hit_rate'] * 100:.1f}%"
+        f"lookups {cache['lookups']} · hit rate {cache['hit_rate'] * 100:.1f}%"
         f" · simulations {cache['simulations']}"
         f" ({cache['simulations_per_lookup']:.2f}/lookup)"
     )
     lines.append(
         f"risk {cache['risk_hits']} hits / {cache['risk_misses']} misses "
-        f"({cache['risk_hit_rate'] * 100:.1f}%) · store {cache['store_reads']} reads, "
-        f"{cache['store_writes']} writes, {cache['store_corrupt_entries']} corrupt"
+        f"({cache['risk_hit_rate'] * 100:.1f}%)"
     )
 
     if profile["latency"]:

@@ -8,8 +8,8 @@ Every traced CLI (``repro.experiments.report``, ``repro.cluster.plan``,
 * ``--telemetry-out FILE`` — enable tracing and additionally write the
   JSONL event log (spans, metrics, manifest) to ``FILE``;
 * ``--run-store DIR`` — enable tracing and ingest the run's events into
-  the append-only run store at ``DIR`` (resolution mirrors
-  ``--cache-dir``: the flag beats ``$REPRO_RUN_STORE`` beats off), so
+  the append-only run store at ``DIR`` (the flag beats
+  ``$REPRO_RUN_STORE`` beats off), so
   ``python -m repro.telemetry.analyze``/``compare`` can consume it.
 
 Any of these also unlocks the ``"telemetry"`` block in the CLI's
@@ -37,7 +37,6 @@ from typing import Dict, Optional
 
 from .export import metric_events, telemetry_block, write_events
 from .manifest import build_manifest, grid_digest
-from .metrics import merge_snapshots
 from .runstore import resolve_run_store
 from .tracer import Tracer, default_tracer
 
@@ -90,8 +89,8 @@ def finish_telemetry(
     ``None`` when telemetry was never enabled.
 
     ``cache`` is the run's :class:`SimulationCache`; its ``stats()`` are
-    the manifest's cache block (exactly), and its registry — plus the
-    attached store's, when persistence was on — supplies the metrics.
+    the manifest's cache block (exactly), and its registry supplies the
+    metrics.
     ``grid`` is the swept scenario grid (or ``None`` for runs without a
     single grid); its digest is only computed here, after the enabled
     check, so untraced runs never pay for it.
@@ -100,11 +99,7 @@ def finish_telemetry(
         return None
     tracer = default_tracer()
     grid = grid_digest(grid) if grid is not None else None
-    snapshots = [cache.metrics.snapshot()]
-    store = getattr(cache, "store", None)
-    if store is not None and getattr(store, "metrics", None) is not None:
-        snapshots.append(store.metrics.snapshot())
-    metrics_snapshot = merge_snapshots(*snapshots)
+    metrics_snapshot = cache.metrics.snapshot()
     manifest = build_manifest(
         command,
         vars(args),

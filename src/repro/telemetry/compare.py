@@ -22,14 +22,13 @@ relatively and absolutely: ``candidate > baseline * (1 + threshold)``
 AND ``candidate - baseline > min_seconds``. The absolute floor
 (``--min-seconds``, default 0.01 s) keeps micro-phases — whose
 wall-clock is scheduler jitter, not work — from tripping the gate,
-which is what makes the verdict stable across ``--jobs`` settings on
-warm runs (the determinism contract covers tree shape and counts, never
-durations). Improvements are labeled symmetrically; phases present on
+which is what makes the verdict stable between repeated warm runs (the
+determinism contract covers tree shape and counts, never durations). Improvements are labeled symmetrically; phases present on
 only one side are reported as ``added``/``removed`` but never gate.
 Exit status: **0** when no phase regresses, **1** otherwise — the CI
 regression gate.
 
-Counter deltas (``cache.*``/``store.*``/``risk.*``) are reported for
+Counter deltas (``cache.*``/``risk.*``) are reported for
 every changed counter; identical runs of a deterministic workload diff
 to zero everywhere, which the determinism tests pin down.
 """

@@ -67,8 +67,8 @@ def write_events(
     ``allow_nan=False`` keeps every line strict JSON — the schema (and
     any downstream consumer) rejects bare ``NaN``/``Infinity`` tokens.
 
-    The write is atomic (temp file + ``os.replace``, the
-    ``DiskTraceStore``/``RunStore`` idiom): a crash mid-export — or a
+    The write is atomic (temp file + ``os.replace``, the ``RunStore``
+    idiom): a crash mid-export — or a
     non-serializable event raising partway through — never leaves a
     truncated JSONL at ``path``, and never clobbers a previous complete
     export with a partial one."""

@@ -6,7 +6,7 @@ hash, falling back to the explicit ``"unknown"`` outside a checkout —
 with a ``version_source`` field saying which of ``git``/``unknown``
 answered), the resolved
 CLI arguments, a digest of the scenario grid that was swept, the cache's
-provenance counters (exactly :meth:`SimulationCache.stats`, so a
+counters (exactly :meth:`SimulationCache.stats`, so a
 manifest can be cross-checked against the engine's own accounting), and
 per-phase wall-clock from the span tree. Benchmark trajectories like
 ``BENCH_spot_planner.json`` become auditable once each run carries one.
@@ -107,7 +107,6 @@ def build_manifest(
         "grid_digest": grid,
         "cache": {
             "hits": cache_stats.hits,
-            "disk_hits": cache_stats.disk_hits,
             "misses": cache_stats.misses,
             "simulations": cache_stats.simulations,
             "risk_hits": cache_stats.risk_hits,

@@ -3,7 +3,7 @@
 The engine's accounting used to live in ad-hoc integers inside
 :class:`~repro.scenarios.cache.SimulationCache`; this module makes those
 counters first-class, shareable metrics without changing the ``stats()``
-API: the cache now *stores* its ``hits``/``disk_hits``/``misses``/
+API: the cache now *stores* its ``hits``/``misses``/
 ``simulations``/``risk_hits``/``risk_misses`` in registry counters and
 ``CacheStats`` is a snapshot of them.
 
@@ -12,16 +12,15 @@ Three instrument kinds, all thread-safe:
 * :class:`Counter` — monotonically increasing event count;
 * :class:`Gauge` — a last-write-wins level;
 * :class:`Histogram` — a streaming summary (count/sum/min/max plus
-  fixed log-spaced buckets) of observations, used for per-source fetch
+  fixed log-spaced buckets) of observations, used for cache lookup
   latencies. The buckets are bounded memory by construction — 4 per
   decade over 1e-7..1e3 seconds plus one overflow slot — so ``observe``
   stays a bisect and a few adds in the hot path, while the analyzer can
   estimate p50/p95 from any exported snapshot
   (:func:`quantile_from_buckets`).
 
-Registries are cheap; each :class:`SimulationCache` and
-:class:`~repro.scenarios.store.DiskTraceStore` owns one, and exporters
-merge snapshots. Instrument creation is get-or-create by name, so call
+Registries are cheap; each :class:`SimulationCache` owns one, and
+exporters merge snapshots. Instrument creation is get-or-create by name, so call
 sites can re-resolve instead of caching handles.
 """
 
@@ -271,10 +270,10 @@ def quantile_from_buckets(
 
 
 def merge_snapshots(*snapshots: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, object]]:
-    """Combine registry snapshots (cache + store + ad-hoc) into one
-    name-sorted mapping. Later snapshots win on (unexpected) name
-    collisions — registries are expected to use disjoint prefixes
-    (``cache.*``, ``store.*``, ``risk.*``)."""
+    """Combine registry snapshots (cache + service) into one name-sorted
+    mapping. Later snapshots win on (unexpected) name collisions —
+    registries are expected to use disjoint prefixes (``cache.*``,
+    ``service.*``)."""
     merged: Dict[str, Dict[str, object]] = {}
     for snapshot in snapshots:
         merged.update(snapshot)

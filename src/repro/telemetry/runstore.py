@@ -15,12 +15,11 @@ keyed by the manifest identity — version, command, resolved args, grid
 digest — plus a **caller-supplied timestamp** (the store never reads
 the clock itself, so tests and replays are deterministic). The index is
 append-only: records are never rewritten, ``latest`` is simply the last
-appended line, and corrupt index lines read as skips, mirroring
-:class:`~repro.scenarios.store.DiskTraceStore`'s corruption tolerance.
+appended line, and corrupt index lines read as skips.
 
-Resolution mirrors ``resolve_store()``: an explicit ``--run-store DIR``
-beats ``$REPRO_RUN_STORE`` beats "no store", uniformly via
-:func:`resolve_run_store` on all three CLIs.
+Resolution: an explicit ``--run-store DIR`` beats ``$REPRO_RUN_STORE``
+beats "no store", uniformly via :func:`resolve_run_store` on all three
+CLIs and the service.
 
 Benchmark artifacts join the same trajectory: :meth:`RunStore.record_bench`
 wraps a ``BENCH_*.json`` payload into a synthetic single-manifest run
@@ -48,7 +47,7 @@ INDEX_NAME = "index.jsonl"
 RUNS_DIR = "runs"
 
 _EMPTY_CACHE_BLOCK = {
-    "hits": 0, "disk_hits": 0, "misses": 0, "simulations": 0,
+    "hits": 0, "misses": 0, "simulations": 0,
     "risk_hits": 0, "risk_misses": 0, "entries": 0,
 }
 
@@ -299,7 +298,7 @@ class RunStore:
         return f"RunStore({str(self.root)!r}, {len(self)} runs)"
 
     # ------------------------------------------------------------------
-    # Writes (atomic events file, appended index — mirrors DiskTraceStore)
+    # Writes (atomic events file, appended index)
     # ------------------------------------------------------------------
     def _write_events(self, record: RunRecord, events: List[Dict[str, object]]) -> None:
         target = self.root / record.path
@@ -331,8 +330,7 @@ def resolve_run_store(
     run_store: Optional[Union[str, Path]] = None
 ) -> Optional[RunStore]:
     """The store for an explicit ``--run-store`` value, else for
-    ``$REPRO_RUN_STORE``, else ``None`` (no run recording) — the same
-    resolution rule as :func:`repro.scenarios.resolve_store`."""
+    ``$REPRO_RUN_STORE``, else ``None`` (no run recording)."""
     root = run_store if run_store else os.environ.get(ENV_RUN_STORE)
     return RunStore(root) if root else None
 

@@ -140,7 +140,7 @@ def validate_event(event: object) -> str:
         _require(event, "args", dict)
         _require(event, "grid_digest", str, allow_none=True)
         cache = _require(event, "cache", dict)
-        for counter in ("hits", "disk_hits", "misses", "simulations"):
+        for counter in ("hits", "misses", "simulations"):
             if not isinstance(cache.get(counter), int):
                 _fail(f"manifest cache block missing integer {counter!r}",
                       key="cache")

@@ -19,12 +19,6 @@ Tracing defaults to **off**: the process-global default tracer (mirroring
 tracer's :meth:`Tracer.span` returns a shared no-op context, so
 instrumented hot paths cost one attribute check when nobody is watching.
 The CLIs enable it under ``--telemetry``/``--telemetry-out``.
-
-Process pools cannot share a tracer. The contract mirrors the sweep
-runner's cache-accounting replay: workers return plain data (their
-finished spans, via :meth:`Tracer.export`) and the parent reassembles it
-deterministically with :meth:`Tracer.adopt_spans`, re-identifying the
-spans under a parent of its choosing in the order given.
 """
 
 from __future__ import annotations
@@ -165,40 +159,8 @@ class Tracer:
             return list(self._spans)
 
     def export(self) -> List[Dict[str, object]]:
-        """Finished spans as plain event dicts — the picklable form a
-        process-pool worker returns for :meth:`adopt_spans`."""
+        """Finished spans as plain event dicts, in start order."""
         return [s.to_event() for s in self.spans() if s.finished]
-
-    def adopt_spans(
-        self,
-        events: List[Dict[str, object]],
-        parent_id: Optional[int] = None,
-    ) -> List[Span]:
-        """Reassemble a worker's exported spans into this tracer: ids are
-        re-assigned in the order given (so adoption is deterministic for
-        a deterministic worker), internal parent links are remapped, and
-        orphans hang off ``parent_id``. Mirrors how the sweep runner
-        replays worker cache accounting into the parent cache."""
-        if not self.enabled:
-            return []
-        adopted: List[Span] = []
-        mapping: Dict[int, int] = {}
-        with self._lock:
-            for event in events:
-                span_id = self._next_id
-                self._next_id += 1
-                mapping[event["id"]] = span_id
-                span = Span(
-                    name=event["name"],
-                    span_id=span_id,
-                    parent_id=mapping.get(event["parent"], parent_id),
-                    start_seconds=event["start_s"],
-                    duration_seconds=event["duration_s"],
-                    attributes=dict(event.get("attrs") or {}),
-                )
-                self._spans.append(span)
-                adopted.append(span)
-        return adopted
 
     # ------------------------------------------------------------------
     # Views
@@ -212,8 +174,8 @@ class Tracer:
     def tree_shape(self) -> Tuple:
         """The span tree with every timing stripped: nested
         ``(name, (children...))`` tuples in start order. Two runs doing
-        the same work produce equal shapes regardless of ``--jobs`` or
-        ``--executor`` — the determinism contract the tests pin down."""
+        the same work produce equal shapes — the determinism contract
+        the tests pin down."""
         children = self._children()
 
         def shape(span: Span) -> Tuple:

@@ -1,8 +1,18 @@
-"""Tests for the scenario engine: scenario identity, grid building,
-cache accounting, parallel determinism, and regression equivalence of the
-refactored experiments against the seed (direct-simulator) path."""
+"""Tests for the scenario engine: scenario identity and digests, grid
+building, cache accounting and single-flight, sweep determinism, and
+regression equivalence of the refactored experiments against the seed
+(direct-simulator) path."""
+
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
+
+from repro.cluster import ClusterScenario
 
 from repro.experiments import fig8_throughput, report, table3_maxbatch
 from repro.gpu import A40, A100_80, GPUSimulator
@@ -19,6 +29,34 @@ from repro.scenarios import (
     preset_names,
     register_preset,
 )
+
+
+THREADS = 8
+
+
+def race(n, call):
+    """Run ``call`` on ``n`` threads released together by a barrier,
+    with a short thread switch interval so they interleave; returns the
+    results in thread order."""
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def worker(i):
+        barrier.wait(timeout=10.0)
+        results[i] = call()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
 
 
 class TestScenario:
@@ -80,6 +118,63 @@ class TestScenario:
     def test_max_batch_size_matches_oracle(self):
         s = Scenario(model=MIXTRAL_8X7B, gpu=A40, seq_len=80, dense=False)
         assert s.max_batch_size() == max_batch_size(MIXTRAL_8X7B, A40, 80, False)
+
+
+class TestScenarioDigest:
+    GRID = ScenarioGrid.product(
+        models=(BLACKMAMBA_2_8B,), gpus=(A40,), seq_lens=(64,),
+        dense=(True, False), batch_sizes=(1, 2, 3, 4),
+    )
+
+    @staticmethod
+    def scenario() -> Scenario:
+        return Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)
+
+    def test_digest_is_sha256_of_canonical_text(self):
+        s = self.scenario()
+        expected = hashlib.sha256(s.canonical_text().encode()).hexdigest()
+        assert s.digest() == expected
+        assert len(s.digest()) == 64
+
+    def test_equal_resolved_keys_share_a_digest(self):
+        # Registry-key vs object spelling, and dataset vs explicit
+        # seq_len, resolve to one key — and must share one digest.
+        by_key = Scenario(model="blackmamba-2.8b", gpu="A40", dataset="commonsense15k")
+        by_obj = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, seq_len=79)
+        assert by_key.key() == by_obj.key()
+        assert by_key.canonical_text() == by_obj.canonical_text()
+        assert by_key.digest() == by_obj.digest()
+
+    def test_distinct_scenarios_get_distinct_digests(self):
+        digests = {s.digest() for s in self.GRID}
+        assert len(digests) == len(self.GRID)
+
+    def test_cluster_scenario_shares_the_replica_digest(self):
+        # ClusterScenario inherits key() (the replica trace ignores the
+        # cluster axes), so it shares the replica's digest too.
+        cluster = ClusterScenario(model=BLACKMAMBA_2_8B, gpu=A40, seq_len=64,
+                                  num_gpus=8, interconnect="pcie-gen4")
+        assert cluster.digest() == self.scenario().digest()
+
+    def test_digest_is_stable_across_interpreter_runs(self):
+        # key() tuples hash differently per run (PYTHONHASHSEED); the
+        # digest is the cross-process identity, so a fresh interpreter
+        # must reproduce it bit-for-bit.
+        code = (
+            "from repro.models import BLACKMAMBA_2_8B\n"
+            "from repro.gpu import A40\n"
+            "from repro.scenarios import Scenario\n"
+            "print(Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=3,\n"
+            "               seq_len=128, dense=True).digest())\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
+        assert out.returncode == 0, out.stderr
+        local = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=3,
+                         seq_len=128, dense=True).digest()
+        assert out.stdout.strip() == local
 
 
 class TestScenarioGrid:
@@ -289,28 +384,40 @@ class TestSimulationCache:
         assert cache.memoize(s.key(), lambda: "recomputed") == "fit"
 
     def test_memoize_collapses_concurrent_computes(self):
-        import threading
-        import time
-
+        """Racing memoize calls on one key compute once: the property the
+        planning service's request threads rely on for derived results."""
         cache = SimulationCache()
         calls = []
 
         def compute():
             calls.append(1)
-            time.sleep(0.02)
+            time.sleep(0.05)  # hold the in-flight slot while the others arrive
             return "fit"
 
-        results = []
-        threads = [
-            threading.Thread(target=lambda: results.append(cache.memoize(("k",), compute)))
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == ["fit"] * 4
+        results = race(THREADS, lambda: cache.memoize(("k",), compute))
+        assert results == ["fit"] * THREADS
         assert len(calls) == 1
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, THREADS - 1)
+
+    def test_concurrent_simulates_collapse_to_one_simulation(self):
+        """Racing simulate calls on one scenario run ``simulate_step``
+        once and all receive the one trace."""
+        cache = SimulationCache()
+        s = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)
+        simulator = cache.simulator(A40)
+        original = simulator.simulate_step
+
+        def slow_simulate_step(*args, **kwargs):
+            time.sleep(0.05)  # hold the in-flight slot while the others arrive
+            return original(*args, **kwargs)
+
+        simulator.simulate_step = slow_simulate_step
+        traces = race(THREADS, lambda: cache.simulate(s))
+        assert all(trace is traces[0] for trace in traces)
+        stats = cache.stats()
+        assert stats.simulations == 1
+        assert (stats.misses, stats.hits, stats.entries) == (1, THREADS - 1, 1)
 
     def test_clear_and_contains(self):
         cache = SimulationCache()
@@ -328,24 +435,23 @@ class TestSweepRunner:
         dense=(True, False), batch_sizes=(1, 2, 3, 4),
     )
 
-    def test_parallel_matches_serial_in_order_and_values(self):
-        serial = SweepRunner(cache=SimulationCache(), jobs=1).run(self.GRID)
-        parallel = SweepRunner(cache=SimulationCache(), jobs=4).run(self.GRID)
-        assert [p.label for p in parallel] == [p.label for p in serial]
-        assert [p.queries_per_second for p in parallel] == [
-            p.queries_per_second for p in serial
+    def test_runs_are_deterministic_and_in_grid_order(self):
+        first = SweepRunner(cache=SimulationCache()).run(self.GRID)
+        second = SweepRunner(cache=SimulationCache()).run(self.GRID)
+        assert [p.label for p in first] == [p.label for p in second]
+        assert [p.queries_per_second for p in first] == [
+            p.queries_per_second for p in second
         ]
-        assert [p.index for p in parallel] == list(range(len(self.GRID)))
+        assert [p.scenario for p in first] == list(self.GRID)
+        assert [p.index for p in first] == list(range(len(self.GRID)))
 
-    def test_parallel_duplicates_collapse_in_cache(self):
+    def test_duplicates_collapse_in_cache(self):
         cache = SimulationCache()
         doubled = self.GRID + self.GRID
-        SweepRunner(cache=cache, jobs=4).run(doubled)
+        SweepRunner(cache=cache).run(doubled)
         stats = cache.stats()
         assert stats.entries == len(self.GRID)
-        # In-flight dedup: concurrent misses on one key simulate once, so
-        # the miss count equals the distinct points, not the lookups.
-        assert stats.misses == len(self.GRID)
+        assert stats.misses == stats.simulations == len(self.GRID)
         assert stats.hits == len(self.GRID)
 
     def test_to_result_feeds_rows(self):
@@ -434,13 +540,6 @@ class TestRegressionAgainstSeed:
         ]
         result = fig8_throughput.run(cache=SimulationCache())
         assert [(r.label, r.measured) for r in result.rows[: len(seed_rows)]] == seed_rows
-
-    def test_fig8_parallel_identical(self):
-        serial = fig8_throughput.run(cache=SimulationCache(), jobs=1)
-        parallel = fig8_throughput.run(cache=SimulationCache(), jobs=4)
-        assert [(r.label, r.measured) for r in serial.rows] == [
-            (r.label, r.measured) for r in parallel.rows
-        ]
 
     def test_table3_cells_exact(self):
         result = table3_maxbatch.run()

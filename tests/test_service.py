@@ -15,12 +15,12 @@ import pytest
 
 from repro.cloud.pricing import DEFAULT_CATALOG, GPUPrice, PriceCatalog
 from repro.scenarios import (
-    DiskTraceStore,
     InFlightMap,
     Scenario,
     SimulationCache,
     SingleFlight,
 )
+from repro.serialization import dumps
 from repro.service import PlanningService, PricingCatalog as LivePricing, RequestError
 from repro.service.app import (
     normalize_cluster_request,
@@ -173,26 +173,15 @@ class TestCacheLRU:
         cache.simulate(scenario(3))  # evicts batch 2, not batch 1
         assert scenario(1) in cache and scenario(2) not in cache
 
-    def test_evicted_trace_reserved_from_disk_without_resimulating(self, tmp_path):
-        cache = SimulationCache(store=DiskTraceStore(tmp_path), capacity=1)
-        cache.simulate(scenario(1))
-        cache.simulate(scenario(2))  # evicts batch 1 (already persisted)
-        assert cache.stats().evictions == 1
-        before = cache.stats().simulations
-        trace, source = cache.fetch(scenario(1))
-        assert source == "disk"
-        assert cache.stats().simulations == before  # zero new simulate_step calls
-        assert trace.queries_per_second > 0
-
-    def test_eviction_spills_to_store_attached_after_simulation(self, tmp_path):
+    def test_evicted_trace_resimulates(self):
         cache = SimulationCache(capacity=1)
-        cache.simulate(scenario(1))
-        cache.attach_store(DiskTraceStore(tmp_path))  # attached late: not persisted yet
-        cache.simulate(scenario(2))  # evicting batch 1 must write it back
-        before = cache.stats().simulations
-        _, source = cache.fetch(scenario(1))
-        assert source == "disk"
-        assert cache.stats().simulations == before
+        first = cache.simulate(scenario(1))
+        cache.simulate(scenario(2))  # evicts batch 1
+        assert cache.stats().evictions == 1
+        again = cache.simulate(scenario(1))  # a miss: simulated afresh
+        stats = cache.stats()
+        assert (stats.simulations, stats.misses, stats.evictions) == (3, 3, 2)
+        assert again.total_seconds == first.total_seconds
 
     def test_derived_results_bounded_too(self):
         cache = SimulationCache(capacity=2)
@@ -409,6 +398,18 @@ class TestNormalization:
             normalize_spot_request(body)
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize("field", ["num_gpus", "batch_size", "grad_accum"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5, [4, 2.0]],
+                             ids=["inf", "nan", "2.5", "integral-float"])
+    def test_integer_list_fields_reject_non_integers(self, field, value):
+        """Integer list entries follow _int_field's rule: a float (even an
+        integral one) is a 400 naming the field — never a silent
+        truncation, and never an OverflowError/ValueError from int()."""
+        with pytest.raises(RequestError) as excinfo:
+            normalize_cluster_request({"model": "mixtral", field: value})
+        assert excinfo.value.status == 400
+        assert repr(field) in str(excinfo.value)
+
     def test_spot_defaults(self):
         request = normalize_spot_request({"model": "mixtral"})
         assert request["spot"] == "both"
@@ -505,20 +506,20 @@ class TestServiceCoalescing:
 
 
 class TestServiceLRU:
-    def test_evicted_plans_reserve_from_disk(self, tmp_path):
-        service = PlanningService(store=DiskTraceStore(tmp_path), capacity=1)
-        first = json.loads(service.plan(
-            "cluster", {"model": "mixtral", "gpu": ["a40"], "density": "sparse"}))
+    def test_evicted_traces_resimulate_to_the_same_plan(self):
+        service = PlanningService(capacity=1)
+        sparse = {"model": "mixtral", "gpu": ["a40"], "density": "sparse"}
+        first = json.loads(service.plan("cluster", sparse))
         assert first["engine"]["simulations"] > 0
         second = json.loads(service.plan(
             "cluster", {"model": "mixtral", "gpu": ["a40"], "density": "dense"}))
-        assert second["engine"]["evictions"] >= 1
-        again = json.loads(service.plan(
-            "cluster", {"model": "mixtral", "gpu": ["a40"], "density": "sparse"}))
-        assert again["engine"]["simulations"] == 0  # zero new simulate_step calls
-        assert again["engine"]["disk_hits"] > 0
-        assert again["plan"] == first["plan"]
-        assert service.stats_payload()["cache"]["capacity"] == 1
+        assert second["engine"]["evictions"] > 0
+        again = json.loads(service.plan("cluster", sparse))
+        assert again["engine"]["simulations"] > 0  # evicted, so simulated again
+        assert again["engine"]["evictions"] > 0
+        assert dumps(again["plan"], indent=2) == dumps(first["plan"], indent=2)
+        stats = service.stats_payload()["cache"]
+        assert stats["capacity"] == 1 and stats["evictions"] > 0
 
 
 class TestServiceStalePricing:
@@ -653,6 +654,17 @@ class TestHTTP:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert service.stats_payload()["requests"]["errors"] == 1
+
+    def test_non_integer_num_gpus_is_a_400_not_a_500(self, served):
+        """``Infinity`` used to reach int() and come back as a 500
+        "planning bug"; it is a malformed request naming its field."""
+        base, service, _events, _runs = served
+        for value in (float("inf"), 2.5):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base + "/plan/cluster", {"model": "mixtral", "num_gpus": [value]})
+            assert excinfo.value.code == 400
+            assert "'num_gpus'" in json.loads(excinfo.value.read())["error"]
+        assert service.stats_payload()["requests"]["errors"] == 2
 
     def test_accepted_sockets_disable_nagle(self):
         with running(PlanningService()) as server:

@@ -662,15 +662,6 @@ class TestRiskAdjustedPlanner:
         assert cache.stats().misses == misses
         assert plan.spot_candidates
 
-    def test_jobs_do_not_change_the_plan(self):
-        payloads = [
-            self._plan(
-                self._planner(jobs=jobs), deadline_hours=24.0
-            ).to_payload()
-            for jobs in (1, 4)
-        ]
-        assert payloads[0] == payloads[1]
-
     def test_mc_distribution_is_candidate_deterministic(self):
         a = self._plan()
         b = self._plan()
@@ -784,14 +775,12 @@ class TestSpotPlanCLI:
             assert c["p95_hours"] == pytest.approx(c["ondemand_hours"])
         assert payload["ondemand_frontier"]  # the PR 2 view rides along
 
-    def test_output_deterministic_and_jobs_independent(self, capsys):
+    def test_output_deterministic(self, capsys):
         assert plan_main(self.ACCEPTANCE) == 0
         first = capsys.readouterr().out
         assert plan_main(self.ACCEPTANCE) == 0
         second = capsys.readouterr().out
-        assert plan_main(self.ACCEPTANCE + ["--jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert first == second == parallel
+        assert first == second
 
     def test_text_output_names_recommendation(self, capsys):
         assert plan_main(["--model", "mixtral", "--gpu", "a40",
@@ -814,15 +803,15 @@ class TestSpotPlanCLI:
         payload = self._payload(capsys, self.ACCEPTANCE)
         assert payload["risk_mode"] == "analytic"
 
-    def test_risk_mode_mc_byte_identical_across_jobs(self, capsys):
+    def test_risk_mode_mc_byte_identical_across_runs(self, capsys):
         """Acceptance: the batched Monte Carlo is seeded per candidate,
-        so --risk-mode mc output is byte-identical at any --jobs."""
+        so --risk-mode mc output is byte-identical from run to run."""
         argv = self.ACCEPTANCE + ["--risk-mode", "mc"]
         assert plan_main(argv) == 0
         first = capsys.readouterr().out
-        assert plan_main(argv + ["--jobs", "4"]) == 0
-        fanned = capsys.readouterr().out
-        assert fanned == first
+        assert plan_main(argv) == 0
+        again = capsys.readouterr().out
+        assert again == first
         assert json.loads(first)["risk_mode"] == "mc"
 
     def test_invalid_risk_mode_rejected(self, capsys):

@@ -62,7 +62,7 @@ def manifest(command="cmd", phases=None, version="abc123", args=None,
         "type": "manifest", "schema": SCHEMA_VERSION, "version": version,
         "version_source": "git", "command": command,
         "args": dict(args or {}), "grid_digest": grid_digest,
-        "cache": {"hits": 0, "disk_hits": 0, "misses": 0, "simulations": 0,
+        "cache": {"hits": 0, "misses": 0, "simulations": 0,
                   "risk_hits": 0, "risk_misses": 0, "entries": 0},
         "phases": dict(phases or {}),
     }
@@ -230,6 +230,22 @@ class TestRunStore:
         assert store.load(record) == self.events()
         # The index is plain JSONL, one line per run.
         assert len(store.index_path.read_text().splitlines()) == 1
+
+    def test_manifest_with_legacy_disk_hits_still_ingests(self, tmp_path):
+        """Manifests written while the cache had a disk tier carry a
+        ``disk_hits`` counter; the validator no longer requires it but
+        must keep accepting it, so older run logs stay ingestible."""
+        legacy = manifest()
+        legacy["cache"]["disk_hits"] = 2
+        events = [span(1, "root", 0.5), counter("cache.disk_hits", 2), legacy]
+        run_file = write_run(tmp_path / "legacy.jsonl", events)
+        assert validate_file(run_file)["manifest"] == 1
+        store = RunStore(tmp_path / "store")
+        record = store.ingest(run_file, timestamp=100.0)
+        assert store.load(record) == events
+        current = manifest()
+        assert "disk_hits" not in current["cache"]
+        validate_event(current)
 
     def test_reingest_same_timestamp_is_idempotent(self, tmp_path):
         store = RunStore(tmp_path)
@@ -410,22 +426,19 @@ class TestAnalyzerMath:
         assert len(path) == depth
 
     def test_cache_audit_rates_match_cachestats_semantics(self):
+        from repro.scenarios import CacheStats
+
         metrics = [
-            counter("cache.hits", 6), counter("cache.disk_hits", 2),
-            counter("cache.misses", 2), counter("cache.simulations", 2),
+            counter("cache.hits", 6), counter("cache.misses", 2),
+            counter("cache.simulations", 2),
             counter("cache.risk_hits", 3), counter("cache.risk_misses", 1),
-            counter("store.read_hits", 2), counter("store.read_misses", 1),
-            counter("store.writes", 4), counter("store.corrupt_entries", 1),
         ]
         audit = cache_audit(metrics)
-        assert audit["lookups"] == 10
-        assert audit["hit_rate"] == pytest.approx(0.8)          # any tier
-        assert audit["memory_hit_rate"] == pytest.approx(0.6)   # memory only
-        assert audit["simulations_per_lookup"] == pytest.approx(0.2)
+        assert audit["lookups"] == 8
+        assert audit["hit_rate"] == pytest.approx(0.75)
+        assert audit["hit_rate"] == CacheStats(hits=6, misses=2, entries=2).hit_rate
+        assert audit["simulations_per_lookup"] == pytest.approx(0.25)
         assert audit["risk_hit_rate"] == pytest.approx(0.75)
-        assert audit["store_reads"] == 3
-        assert audit["store_writes"] == 4
-        assert audit["store_corrupt_entries"] == 1
 
     def test_cache_audit_zero_lookups_is_zero_not_nan(self):
         audit = cache_audit([])
