@@ -10,6 +10,17 @@ The pseudocode in the paper:
 
 Dense fine-tuning sets ``top_k = num_experts`` (all experts active);
 sparse fine-tuning uses ``top_k = 2`` of 8, matching the paper's setup.
+
+Dispatch is grouped. One stable argsort of the ``(token, slot)`` expert
+choices puts every expert's tokens in one contiguous block, in ascending
+token order, so each expert sees the same rows the per-expert
+``np.nonzero`` scan would give it. All gate weights come out of one
+gather, all expert outputs are weighted by one multiply, and one
+:func:`~repro.tensor.ops.scatter_rows` folds each token's ``k`` weighted
+rows onto 0.0 in ascending expert order. That is the order in which
+accumulating one expert at a time adds them, so outputs and gradients are
+the same bit for bit.
+
 The layer tracks per-expert token counts for the Fig. 11 load-imbalance
 study and exposes a Switch-style auxiliary load-balancing loss used when
 "pre-training" the tiny models into a balanced routing state.
@@ -82,19 +93,27 @@ class MoELayer(Module):
         if self.track_aux_loss:
             self.aux_loss = self._load_balancing_loss(decision)
 
-        combined = None
-        for expert_id, expert in enumerate(self.experts):
-            token_ids = np.nonzero((decision.expert_indices == expert_id).any(axis=-1))[0]
-            if token_ids.size == 0:
-                continue
-            rows = ops.take_rows(flat, token_ids)
-            expert_out = expert(rows)
-            gate = decision.gates_full[token_ids, expert_id].reshape(token_ids.size, 1)
-            contribution = ops.scatter_rows(expert_out * gate, token_ids, num_tokens)
-            combined = contribution if combined is None else combined + contribution
+        if num_tokens == 0:
+            return (flat * 0.0).reshape(batch, length, dim)
 
-        if combined is None:  # no tokens at all (empty input)
-            combined = flat * 0.0
+        # Group the (token, slot) choices by expert; the stable sort keeps
+        # each expert's tokens ascending.
+        choices = decision.expert_indices.reshape(-1)
+        order = np.argsort(choices, kind="stable")
+        token_ids = order // decision.expert_indices.shape[1]
+        expert_ids = choices[order]
+        ends = np.cumsum(decision.expert_counts)
+        outputs = []
+        for expert, start, end in zip(self.experts, ends - decision.expert_counts, ends):
+            if end > start:
+                outputs.append(expert(ops.take_rows(flat, token_ids[start:end])))
+
+        gates = ops.take_rows(
+            decision.gates_full.reshape(num_tokens * self.num_experts, 1),
+            token_ids * self.num_experts + expert_ids,
+        )
+        weighted = ops.concat(outputs, axis=0) * gates
+        combined = ops.scatter_rows(weighted, token_ids, num_tokens)
         return combined.reshape(batch, length, dim)
 
     def _load_balancing_loss(self, decision) -> Tensor:

@@ -9,6 +9,13 @@ substrate:
   subclass implements a ``forward`` over raw numpy arrays and a
   ``backward`` that maps the output gradient to input gradients.
 
+When :meth:`Function.apply` records a node it also stores
+``needs_input_grad`` on the node: one flag per tensor argument (PyTorch's
+name), True when that argument requires grad. A ``backward`` may return
+``None`` for an input whose flag is False instead of computing a gradient
+nobody reads, as the arithmetic and matmul ops in :mod:`repro.tensor.ops`
+do for frozen operands such as dequantized NF4 weights.
+
 The design follows the classic define-by-run approach: running an
 operation on tensors builds a DAG; calling :meth:`Tensor.backward`
 topologically sorts the DAG and accumulates gradients into every leaf with
@@ -64,6 +71,7 @@ class Function:
 
     def __init__(self) -> None:
         self.parents: Tuple[Tensor, ...] = ()
+        self.needs_input_grad: Tuple[bool, ...] = ()
         self.saved: Tuple[Any, ...] = ()
 
     def save_for_backward(self, *items: Any) -> None:
@@ -79,13 +87,22 @@ class Function:
     @classmethod
     def apply(cls, *args: Any, **kwargs: Any) -> "Tensor":
         ctx = cls()
-        tensor_args = [a for a in args if isinstance(a, Tensor)]
-        raw_args = [a.data if isinstance(a, Tensor) else a for a in args]
+        raw_args = []
+        parents = []
+        needs = []
+        for arg in args:
+            if isinstance(arg, Tensor):
+                parents.append(arg)
+                needs.append(arg.requires_grad)
+                raw_args.append(arg.data)
+            else:
+                raw_args.append(arg)
         out_data = ctx.forward(*raw_args, **kwargs)
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensor_args)
+        requires = any(needs) and is_grad_enabled()
         out = Tensor(out_data, requires_grad=requires)
         if requires:
-            ctx.parents = tuple(tensor_args)
+            ctx.parents = tuple(parents)
+            ctx.needs_input_grad = tuple(needs)
             out._ctx = ctx
         return out
 
@@ -119,10 +136,10 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data)
+        arr = data if type(data) is np.ndarray else np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
+        elif arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
@@ -175,8 +192,6 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def clone(self) -> "Tensor":
-        from . import ops
-
         return ops.identity(self)
 
     def zero_grad(self) -> None:
@@ -236,68 +251,64 @@ class Tensor:
                     grads[key] = pgrad
 
     # ------------------------------------------------------------------
-    # Operator overloads (definitions live in repro.tensor.ops)
+    # Operator overloads (definitions live in repro.tensor.ops, bound once
+    # at the bottom of this module)
     # ------------------------------------------------------------------
-    def _ops(self):
-        from . import ops
-
-        return ops
-
     def __add__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().add(self, other)
+        return ops.add(self, other)
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().add(self, other)
+        return ops.add(self, other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().sub(self, other)
+        return ops.sub(self, other)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().sub(other, self)
+        return ops.sub(other, self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().mul(self, other)
+        return ops.mul(self, other)
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().mul(self, other)
+        return ops.mul(self, other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().div(self, other)
+        return ops.div(self, other)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._ops().div(other, self)
+        return ops.div(other, self)
 
     def __neg__(self) -> "Tensor":
-        return self._ops().neg(self)
+        return ops.neg(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
-        return self._ops().pow(self, exponent)
+        return ops.pow(self, exponent)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        return self._ops().matmul(self, other)
+        return ops.matmul(self, other)
 
     def __getitem__(self, index: Any) -> "Tensor":
-        return self._ops().getitem(self, index)
+        return ops.getitem(self, index)
 
     # Reductions / shape ops -------------------------------------------------
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        return self._ops().sum(self, axis=axis, keepdims=keepdims)
+        return ops.sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        return self._ops().mean(self, axis=axis, keepdims=keepdims)
+        return ops.mean(self, axis=axis, keepdims=keepdims)
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        return self._ops().max(self, axis=axis, keepdims=keepdims)
+        return ops.max(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return self._ops().reshape(self, shape)
+        return ops.reshape(self, shape)
 
     def transpose(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        return self._ops().transpose(self, axes if axes else None)
+        return ops.transpose(self, axes if axes else None)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -306,31 +317,31 @@ class Tensor:
 
     # Elementwise convenience -------------------------------------------------
     def exp(self) -> "Tensor":
-        return self._ops().exp(self)
+        return ops.exp(self)
 
     def log(self) -> "Tensor":
-        return self._ops().log(self)
+        return ops.log(self)
 
     def sqrt(self) -> "Tensor":
-        return self._ops().sqrt(self)
+        return ops.sqrt(self)
 
     def tanh(self) -> "Tensor":
-        return self._ops().tanh(self)
+        return ops.tanh(self)
 
     def sigmoid(self) -> "Tensor":
-        return self._ops().sigmoid(self)
+        return ops.sigmoid(self)
 
     def relu(self) -> "Tensor":
-        return self._ops().relu(self)
+        return ops.relu(self)
 
     def abs(self) -> "Tensor":
-        return self._ops().abs(self)
+        return ops.abs(self)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        return self._ops().softmax(self, axis=axis)
+        return ops.softmax(self, axis=axis)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        return self._ops().log_softmax(self, axis=axis)
+        return ops.log_softmax(self, axis=axis)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -379,3 +390,9 @@ def randn(
     default is the repo-wide seeded fallback (:func:`repro.rng.resolve_rng`)."""
     rng = resolve_rng(rng)
     return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=requires_grad)
+
+
+# ``ops`` subclasses Function and builds Tensors, so it can only be imported
+# once both exist; binding it here saves the operator overloads an import
+# lookup per call.
+from . import ops  # noqa: E402

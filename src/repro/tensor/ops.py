@@ -5,6 +5,19 @@ objects. Operand coercion happens in the thin functional wrappers so that the
 :class:`Function` subclasses can assume every differentiable operand is a
 tensor; constants become non-grad tensors, and integer index arrays stay raw
 numpy (they are data, not differentiable inputs).
+
+The binary arithmetic ops, :class:`MatMul` and :class:`Where` read
+``needs_input_grad`` and return ``None`` for a frozen operand rather than
+computing its gradient; ``a.T @ grad`` for a frozen weight is as costly as
+the gradient that is kept.
+
+Gather backwards scatter-add with ``np.add.at`` only where an element can be
+selected twice. :class:`GetItem` with a basic index (ints, slices, ``None``,
+``Ellipsis``) and :class:`TakeRows` with distinct rows add in place;
+advanced ``GetItem`` indices and :class:`Embedding` ids keep ``np.add.at``.
+:class:`ScatterRows`, the MoE combine, folds rows level by level with no
+``np.add.at`` at all. Every path adds onto 0.0 in the order ``np.add.at``
+would, so the results match it bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -39,7 +52,11 @@ class Add(Function):
 
     def backward(self, grad_out: np.ndarray):
         a_shape, b_shape = self.saved
-        return unbroadcast(grad_out, a_shape), unbroadcast(grad_out, b_shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out, a_shape) if need_a else None,
+            unbroadcast(grad_out, b_shape) if need_b else None,
+        )
 
 
 class Sub(Function):
@@ -49,7 +66,11 @@ class Sub(Function):
 
     def backward(self, grad_out: np.ndarray):
         a_shape, b_shape = self.saved
-        return unbroadcast(grad_out, a_shape), unbroadcast(-grad_out, b_shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out, a_shape) if need_a else None,
+            unbroadcast(-grad_out, b_shape) if need_b else None,
+        )
 
 
 class Mul(Function):
@@ -59,7 +80,11 @@ class Mul(Function):
 
     def backward(self, grad_out: np.ndarray):
         a, b = self.saved
-        return unbroadcast(grad_out * b, a.shape), unbroadcast(grad_out * a, b.shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out * b, a.shape) if need_a else None,
+            unbroadcast(grad_out * a, b.shape) if need_b else None,
+        )
 
 
 class Div(Function):
@@ -69,8 +94,9 @@ class Div(Function):
 
     def backward(self, grad_out: np.ndarray):
         a, b = self.saved
-        grad_a = unbroadcast(grad_out / b, a.shape)
-        grad_b = unbroadcast(-grad_out * a / (b * b), b.shape)
+        need_a, need_b = self.needs_input_grad
+        grad_a = unbroadcast(grad_out / b, a.shape) if need_a else None
+        grad_b = unbroadcast(-grad_out * a / (b * b), b.shape) if need_b else None
         return grad_a, grad_b
 
 
@@ -103,8 +129,9 @@ class MatMul(Function):
 
     def backward(self, grad_out: np.ndarray):
         a, b = self.saved
-        grad_a = unbroadcast(grad_out @ np.swapaxes(b, -1, -2), a.shape)
-        grad_b = unbroadcast(np.swapaxes(a, -1, -2) @ grad_out, b.shape)
+        need_a, need_b = self.needs_input_grad
+        grad_a = unbroadcast(grad_out @ np.swapaxes(b, -1, -2), a.shape) if need_a else None
+        grad_b = unbroadcast(np.swapaxes(a, -1, -2) @ grad_out, b.shape) if need_b else None
         return grad_a, grad_b
 
 
@@ -306,21 +333,18 @@ class Mean(Function):
 
 
 class Max(Function):
+    """Maximum over ``axis`` (all axes when None); ties share the gradient."""
+
     def forward(self, a: np.ndarray, axis: Optional[int] = None, keepdims: bool = False) -> np.ndarray:
-        out = a.max(axis=axis, keepdims=True) if axis is not None else a.max()
-        mask = a == (out if axis is not None else out)
-        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        self.save_for_backward(mask, counts, a.shape, axis, keepdims)
-        if axis is not None and not keepdims:
-            out = np.squeeze(out, axis=axis)
-        return np.asarray(out)
+        out = a.max(axis=axis, keepdims=True)
+        mask = a == out
+        counts = mask.sum(axis=axis, keepdims=True)
+        self.save_for_backward(mask, counts)
+        return out if keepdims else np.squeeze(out, axis=axis)
 
     def backward(self, grad_out: np.ndarray):
-        mask, counts, shape, axis, keepdims = self.saved
-        grad = np.asarray(grad_out)
-        if axis is not None and not keepdims:
-            grad = np.expand_dims(grad, axis)
-        return (mask * grad / counts,)
+        mask, counts = self.saved
+        return (mask * np.reshape(grad_out, counts.shape) / counts,)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +375,22 @@ class Transpose(Function):
         return (np.transpose(grad_out, inverse),)
 
 
+def _is_basic_index(index: Any) -> bool:
+    """True for an index of ints, slices, ``None`` and ``Ellipsis`` only:
+    such an index selects every element at most once."""
+    for item in index if isinstance(index, tuple) else (index,):
+        if item is None or item is Ellipsis or isinstance(item, slice):
+            continue
+        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+            continue
+        return False
+    return True
+
+
 class GetItem(Function):
+    """``a[index]``. The backward adds in place for a basic index and keeps
+    ``np.add.at`` for advanced ones, whose elements may repeat."""
+
     def forward(self, a: np.ndarray, index: Any) -> np.ndarray:
         self.save_for_backward(a.shape, a.dtype, index)
         return a[index]
@@ -359,7 +398,10 @@ class GetItem(Function):
     def backward(self, grad_out: np.ndarray):
         shape, dtype, index = self.saved
         grad = np.zeros(shape, dtype=dtype)
-        np.add.at(grad, index, grad_out)
+        if _is_basic_index(index):
+            grad[index] += grad_out
+        else:
+            np.add.at(grad, index, grad_out)
         return (grad,)
 
 
@@ -414,7 +456,11 @@ class Embedding(Function):
 
 
 class TakeRows(Function):
-    """Select rows of a 2-D tensor — dispatching tokens to an expert."""
+    """Select rows of a 2-D tensor — dispatching tokens to an expert.
+
+    The backward adds in place when no row is taken twice (one ``bincount``
+    checks) and falls back to ``np.add.at`` when rows repeat.
+    """
 
     def forward(self, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
         self.save_for_backward(a.shape, a.dtype, idx)
@@ -423,17 +469,39 @@ class TakeRows(Function):
     def backward(self, grad_out: np.ndarray):
         shape, dtype, idx = self.saved
         grad = np.zeros(shape, dtype=dtype)
-        np.add.at(grad, idx, grad_out)
+        rows = idx.reshape(-1) % shape[0]  # numpy's negative rows, made positive
+        if np.bincount(rows).max(initial=0) <= 1:
+            grad[idx] += grad_out
+        else:
+            np.add.at(grad, idx, grad_out)
         return (grad,)
 
 
 class ScatterRows(Function):
-    """Accumulate rows into a fresh zero tensor — combining expert outputs."""
+    """``out[idx[i]] += src[i]`` into ``num_rows`` zero rows — combining expert outputs.
+
+    Each output row folds its source rows onto 0.0 in ascending source
+    order, the order ``np.add.at`` uses, so the two agree bit for bit,
+    signed zeros included. One stable argsort of ``idx`` lays the fold out
+    in levels: level ``j`` holds the ``j``-th source row of every output
+    row. The MoE layer gives every token exactly ``k`` rows, so its combine
+    is ``k`` levels of one gather and one contiguous add each.
+    """
 
     def forward(self, src: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
         self.save_for_backward(idx)
         out = np.zeros((num_rows,) + src.shape[1:], dtype=src.dtype)
-        np.add.at(out, idx, src)
+        counts = np.bincount(idx, minlength=num_rows)
+        if counts.size > num_rows:
+            raise IndexError(f"row {counts.size - 1} is out of bounds for {num_rows} rows")
+        order = np.argsort(idx, kind="stable")
+        starts = np.cumsum(counts) - counts
+        for level in range(counts.max(initial=0)):
+            rows = counts > level
+            if rows.all():
+                out += src[order[starts + level]]
+            else:
+                out[rows] += src[order[starts[rows] + level]]
         return out
 
     def backward(self, grad_out: np.ndarray):
@@ -448,8 +516,9 @@ class Where(Function):
 
     def backward(self, grad_out: np.ndarray):
         condition, a_shape, b_shape = self.saved
-        grad_a = unbroadcast(np.where(condition, grad_out, 0.0), a_shape)
-        grad_b = unbroadcast(np.where(condition, 0.0, grad_out), b_shape)
+        need_a, need_b = self.needs_input_grad
+        grad_a = unbroadcast(np.where(condition, grad_out, 0.0), a_shape) if need_a else None
+        grad_b = unbroadcast(np.where(condition, 0.0, grad_out), b_shape) if need_b else None
         return grad_a, grad_b
 
 

@@ -1,9 +1,10 @@
 """Evaluation harness: multiple-choice (HellaSwag) and exact-match (GSM8K).
 
 Both evaluators run the model in eval mode under ``no_grad`` and restore
-the previous training mode afterwards. Because every synthetic answer is
-a single token, both reduce to scoring the logits at the final prompt
-position — multiple choice compares the candidate answer logits, exact
+the previous training mode afterwards, also when scoring raises; an empty
+dataset is rejected before the mode is touched. Because every synthetic
+answer is a single token, both reduce to scoring the logits at the final
+prompt position — multiple choice compares the candidate answer logits, exact
 match requires the global argmax to equal the answer token.
 """
 
@@ -22,42 +23,41 @@ def _final_logits(model, prompt_ids: np.ndarray) -> np.ndarray:
     return logits.data[0, -1]
 
 
-def evaluate_choice(model, dataset: EvalDataset, limit: Optional[int] = None) -> float:
-    """Fraction of items whose true answer outscores all distractors."""
-    was_training = model.training
-    model.eval()
-    correct = 0
+def _scored_fraction(model, dataset: EvalDataset, limit: Optional[int], is_correct) -> float:
+    """Fraction of items for which ``is_correct(final_logits, item)`` holds,
+    scored in eval mode; the model's training mode is restored even when
+    scoring raises."""
     items = dataset.items[:limit] if limit is not None else dataset.items
     if not items:
         raise ValueError("evaluation dataset is empty")
-    with no_grad():
-        for item in items:
-            logits = _final_logits(model, item.prompt_ids)
-            scores = [float(logits[int(choice[0])]) for choice in item.choices]
-            if int(np.argmax(scores)) == item.correct_index:
-                correct += 1
-    if was_training:
-        model.train()
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            correct = sum(is_correct(_final_logits(model, item.prompt_ids), item) for item in items)
+    finally:
+        if was_training:
+            model.train()
     return correct / len(items)
+
+
+def evaluate_choice(model, dataset: EvalDataset, limit: Optional[int] = None) -> float:
+    """Fraction of items whose true answer outscores all distractors."""
+
+    def is_correct(logits, item) -> bool:
+        scores = [float(logits[int(choice[0])]) for choice in item.choices]
+        return int(np.argmax(scores)) == item.correct_index
+
+    return _scored_fraction(model, dataset, limit, is_correct)
 
 
 def evaluate_exact(model, dataset: EvalDataset, limit: Optional[int] = None) -> float:
     """Fraction of items where the argmax token equals the answer token."""
-    was_training = model.training
-    model.eval()
-    correct = 0
-    items = dataset.items[:limit] if limit is not None else dataset.items
-    if not items:
-        raise ValueError("evaluation dataset is empty")
-    with no_grad():
-        for item in items:
-            logits = _final_logits(model, item.prompt_ids)
-            answer_token = int(item.choices[item.correct_index][0])
-            if int(np.argmax(logits)) == answer_token:
-                correct += 1
-    if was_training:
-        model.train()
-    return correct / len(items)
+
+    def is_correct(logits, item) -> bool:
+        return int(np.argmax(logits)) == int(item.choices[item.correct_index][0])
+
+    return _scored_fraction(model, dataset, limit, is_correct)
 
 
 def evaluate(model, dataset: EvalDataset, limit: Optional[int] = None) -> float:

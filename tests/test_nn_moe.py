@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, checkpoint, ops
+from repro.tensor.grad_mode import is_grad_enabled
 
 
 def make_moe(rng, dim=6, experts=4, top_k=2, expert_type="swiglu"):
@@ -184,3 +185,103 @@ def test_routing_conservation_property(tokens, experts, data):
         assert len(set(row.tolist())) == top_k
     # Gate mass conservation.
     np.testing.assert_allclose(decision.gates_full.data.sum(axis=-1), 1.0, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Grouped dispatch vs the per-expert loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_expert_forward(moe, x):
+    """The MoE forward as a loop over experts: select each expert's tokens
+    with ``np.nonzero``, run it, and scatter its gated rows into a full-size
+    contribution that is added to the running total. The grouped dispatch
+    must reproduce it bit for bit."""
+    batch, length, dim = x.shape
+    num_tokens = batch * length
+    flat = x.reshape(num_tokens, dim)
+    decision = moe.router(flat)
+    if is_grad_enabled() or not moe.training:
+        moe.last_expert_counts = decision.expert_counts
+        moe.cumulative_expert_counts += decision.expert_counts
+    combined = None
+    for expert_id, expert in enumerate(moe.experts):
+        token_ids = np.nonzero((decision.expert_indices == expert_id).any(axis=-1))[0]
+        if token_ids.size == 0:
+            continue
+        expert_out = expert(ops.take_rows(flat, token_ids))
+        gate = decision.gates_full[token_ids, expert_id].reshape(token_ids.size, 1)
+        contribution = ops.scatter_rows(expert_out * gate, token_ids, num_tokens)
+        combined = contribution if combined is None else combined + contribution
+    return combined.reshape(batch, length, dim)
+
+
+def assert_same_bits(actual, expected, what):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape, what
+    assert np.array_equal(actual, expected), what
+    assert actual.tobytes() == expected.tobytes(), f"{what}: signed zeros differ"
+
+
+def skew_router(moe):
+    """Route every token to experts 0..k (never to the rest) by giving those
+    experts large logits on all-positive inputs."""
+    weight = moe.router.gate.weight.data
+    weight[:] = -np.abs(weight)
+    weight[: moe.top_k + 1] = np.abs(weight[: moe.top_k + 1]) + 1.0
+
+
+MOE_CASES = {
+    "k2": dict(experts=4, top_k=2),
+    "dense": dict(experts=4, top_k=4),
+    "k3_gelu": dict(experts=8, top_k=3, expert_type="gelu"),
+    "idle_experts": dict(experts=8, top_k=2, skew=True),
+    "qlora_checkpoint": dict(experts=4, top_k=3, qlora=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOE_CASES))
+def test_grouped_dispatch_matches_per_expert_loop_bit_for_bit(case):
+    spec = dict(MOE_CASES[case])
+    skew = spec.pop("skew", False)
+    qlora = spec.pop("qlora", False)
+    results = []
+    for forward in (per_expert_forward, nn.MoELayer.forward):
+        rng = np.random.default_rng(7)
+        if qlora:
+            moe = nn.MoELayer(6, spec["experts"], spec["top_k"], lambda: nn.SwiGLUExpert(
+                6, 12, quantize=True, lora_rank=2, rng=rng), rng=rng)
+            for expert in moe.experts:  # LoRA B starts at zero: make the adapters live
+                for proj in (expert.w1, expert.w2, expert.w3):
+                    proj.lora_b.data[:] = rng.standard_normal(proj.lora_b.shape)
+        else:
+            moe = make_moe(rng, **spec)
+        data = rng.standard_normal((3, 7, 6))
+        if skew:
+            skew_router(moe)
+            data = np.abs(data)
+        x = Tensor(data, requires_grad=True)
+        upstream = Tensor(rng.standard_normal((3, 7, 6)))
+
+        def run(t, moe=moe, forward=forward):
+            return forward(moe, t)
+
+        for _ in range(2):  # twice, so cumulative counts differ from the last ones
+            out = checkpoint(run, x) if qlora else run(x)
+            (out * upstream).sum().backward()
+        grads = {name: p.grad for name, p in moe.named_parameters() if p.requires_grad}
+        results.append((out.data, x.grad, grads, moe.last_expert_counts,
+                        moe.cumulative_expert_counts))
+
+    (ref_out, ref_dx, ref_grads, ref_last, ref_total), (out, dx, grads, last, total) = results
+    if skew:
+        assert (last == 0).any(), "the skewed router should leave some experts idle"
+    assert_same_bits(out, ref_out, "output")
+    assert_same_bits(dx, ref_dx, "x.grad")
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        if ref_grads[name] is None:
+            assert grad is None, name
+        else:
+            assert_same_bits(grad, ref_grads[name], name)
+    np.testing.assert_array_equal(last, ref_last)
+    np.testing.assert_array_equal(total, ref_total)

@@ -171,6 +171,25 @@ class TestSoftmaxAndReductions:
         ops.max(a, axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("keepdims", [True, False])
+    @pytest.mark.parametrize("axis", [None, 1, -1, -3])
+    @pytest.mark.parametrize("method", [False, True])
+    def test_max_matches_numpy(self, axis, keepdims, method):
+        """Values, shapes and gradients of ``max`` agree with numpy for every
+        axis form, through ``ops.max`` and ``Tensor.max``."""
+        data = RNG.standard_normal((2, 3, 4))
+        data[1, 2, :2] = data.max() + 1.0  # a tie, shared by two elements
+        expected = data.max(axis=axis, keepdims=keepdims)
+        upstream = RNG.standard_normal(expected.shape)
+        a = Tensor(data, requires_grad=True)
+        out = a.max(axis=axis, keepdims=keepdims) if method else ops.max(a, axis=axis, keepdims=keepdims)
+        assert out.shape == expected.shape
+        np.testing.assert_array_equal(out.data, expected)
+        (out * Tensor(upstream)).sum().backward()
+        hits = data == data.max(axis=axis, keepdims=True)
+        share = upstream.reshape(data.max(axis=axis, keepdims=True).shape) / hits.sum(axis=axis, keepdims=True)
+        np.testing.assert_allclose(a.grad, hits * share, rtol=1e-12)
+
 
 class TestShapeOps:
     def test_reshape_grad(self):

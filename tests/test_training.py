@@ -88,6 +88,27 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate_choice(small_mixtral, empty)
 
+    @pytest.mark.parametrize("evaluator", [evaluate_choice, evaluate_exact, evaluate])
+    def test_empty_dataset_keeps_training_mode(self, tiny_suite, small_mixtral, evaluator):
+        small_mixtral.train()
+        with pytest.raises(ValueError):
+            evaluator(small_mixtral, tiny_suite.hellaswag.subset(0))
+        assert small_mixtral.training
+
+    @pytest.mark.parametrize("evaluator", [evaluate_choice, evaluate_exact])
+    def test_failing_forward_restores_training_mode(self, tiny_suite, evaluator):
+        class Exploding(MixtralModel):
+            def forward(self, input_ids):
+                assert not self.training, "evaluation must run in eval mode"
+                raise RuntimeError("forward failed")
+
+        model = Exploding(MIXTRAL_TINY, finetune_mode="full", gradient_checkpointing=False,
+                          rng=np.random.default_rng(5))
+        model.train()
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluator(model, tiny_suite.hellaswag, limit=3)
+        assert model.training
+
 
 class TestLoadBalance:
     def test_measurement_shapes(self, tiny_suite, small_mixtral):
