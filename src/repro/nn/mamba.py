@@ -7,10 +7,12 @@ a faithful small-scale implementation of the selective SSM:
 2. A short causal depthwise convolution plus SiLU shapes the inner signal.
 3. ``x_proj``/``dt_proj`` produce the input-dependent step size ``delta``
    and the state matrices ``B_t`` and ``C_t`` (the *selective* part).
-4. The diagonal recurrence ``h_t = exp(delta_t * A) h_{t-1} + delta_t B_t x_t``
-   runs through the custom :func:`~repro.tensor.ops.scan_diag` kernel.
-5. The output contracts the state with ``C_t``, adds a skip ``D`` path, is
-   gated by ``silu(z)``, and projects back to the model dim.
+4. One :func:`~repro.tensor.ops.ssm_scan` op, named after the simulator's
+   kernel, discretizes, runs the diagonal recurrence
+   ``h_t = exp(delta_t * A) h_{t-1} + delta_t B_t x_t`` and contracts the
+   state with ``C_t``.
+5. A skip ``D`` path is added, the result is gated by ``silu(z)``, and
+   ``out_proj`` projects back to the model dim.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class MambaMixer(Module):
         self.d_skip = Parameter(np.ones(self.inner_dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, length, _ = x.shape
         inner = self.inner_dim
         state = self.state_dim
 
@@ -72,24 +73,10 @@ class MambaMixer(Module):
         c_t = params[:, :, self.dt_rank + state :]
         delta = ops.softplus(self.dt_proj(dt_raw))  # (batch, length, inner)
 
-        # Discretize: decay = exp(delta * A) with A = -exp(a_log) (negative real).
+        # Discretize, run the recurrence and contract with C_t in one op;
+        # A = -exp(a_log) keeps every mode decaying.
         a_matrix = -ops.exp(self.a_log)  # (inner, state)
-        delta_4d = delta.reshape(batch, length, inner, 1)
-        decay = ops.exp(delta_4d * a_matrix)  # (batch, length, inner, state)
-
-        # Input injection: delta_t * B_t * u_t, broadcast over the state axis.
-        b_4d = b_t.reshape(batch, length, 1, state)
-        u_4d = u.reshape(batch, length, inner, 1)
-        driven = delta_4d * b_4d * u_4d  # (batch, length, inner, state)
-
-        hidden = ops.scan_diag(
-            decay.reshape(batch, length, inner * state),
-            driven.reshape(batch, length, inner * state),
-        ).reshape(batch, length, inner, state)
-
-        # Output contraction with C_t plus the direct (skip) path.
-        c_4d = c_t.reshape(batch, length, 1, state)
-        y = (hidden * c_4d).sum(axis=-1) + u * self.d_skip
+        y = ops.ssm_scan(u, delta, a_matrix, b_t, c_t) + u * self.d_skip
 
         gated = y * ops.silu(z)
         return self.out_proj(gated)

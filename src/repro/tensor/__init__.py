@@ -7,8 +7,8 @@ Public surface::
 The engine implements everything the paper's fine-tuning stack needs:
 broadcast-aware arithmetic, batched matmul, the usual activations,
 softmax/log-softmax, gather/scatter primitives for embeddings and MoE
-token routing, a diagonal selective-scan recurrence for Mamba layers, and
-gradient checkpointing.
+token routing, the fused selective scan of Mamba layers (``ops.ssm_scan``),
+and gradient checkpointing.
 """
 
 from .checkpoint import checkpoint

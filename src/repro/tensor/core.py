@@ -204,7 +204,8 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``grad`` defaults to ones for scalar outputs, matching the
-        convention that ``loss.backward()`` computes d(loss)/d(leaf).
+        convention that ``loss.backward()`` computes d(loss)/d(leaf). A
+        supplied ``grad`` must have exactly this tensor's shape.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -214,7 +215,7 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
-            grad = grad.reshape(self.data.shape)
+            raise ValueError(f"grad shape {grad.shape} does not match output shape {self.data.shape}")
 
         order = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): grad}

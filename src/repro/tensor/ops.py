@@ -18,6 +18,11 @@ advanced ``GetItem`` indices and :class:`Embedding` ids keep ``np.add.at``.
 :class:`ScatterRows`, the MoE combine, folds rows level by level with no
 ``np.add.at`` at all. Every path adds onto 0.0 in the order ``np.add.at``
 would, so the results match it bit for bit, signed zeros included.
+
+:class:`SsmScan` (``ssm_scan``) is the Mamba mixer's state-space core as
+one op with a hand-written backward, the counterpart of the GPU
+simulator's ``ssm_scan`` kernel: discretization, the diagonal recurrence
+and the contraction with ``C`` in one node instead of a dozen.
 """
 
 from __future__ import annotations
@@ -229,7 +234,7 @@ class Gelu(Function):
     """GELU with the tanh approximation (matches common GPU kernels)."""
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        inner = _GELU_C * (a + 0.044715 * a**3)
+        inner = _GELU_C * (a + 0.044715 * (a * a * a))  # libm pow is ~50x slower
         t = np.tanh(inner)
         self.save_for_backward(a, t)
         return 0.5 * a * (1.0 + t)
@@ -533,47 +538,101 @@ class Dropout(Function):
 
 
 # ---------------------------------------------------------------------------
-# Selective scan — the state-space recurrence inside the Mamba mixer
+# Selective scan — the state-space core of the Mamba mixer
 # ---------------------------------------------------------------------------
 
 
-class ScanDiag(Function):
-    """Diagonal linear recurrence ``h_t = decay_t * h_{t-1} + x_t``.
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """``(batch, length, ...)`` as a ``(length, batch, ...)`` view."""
+    return x.swapaxes(0, 1)
 
-    Inputs have shape ``(batch, length, channels)`` where ``channels`` may
-    be a flattened (model_dim x state_dim) axis — the recurrence is fully
-    elementwise across channels. Returns the stacked hidden states.
 
-    The backward pass runs the adjoint recurrence in reverse time:
-    ``a_t = g_t + decay_{t+1} * a_{t+1}``, with ``dX_t = a_t`` and
-    ``dDecay_t = a_t * h_{t-1}``.
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """A contiguous ``(batch, length, ...)`` copy of a time-major array."""
+    return np.ascontiguousarray(x.swapaxes(0, 1))
+
+
+class SsmScan(Function):
+    """Mamba's selective scan (Gu & Dao, 2023) as one op: ``ssm_scan``.
+
+    With ``u`` and ``delta`` of shape ``(batch, length, inner)``, ``a`` of
+    shape ``(inner, state)`` and ``b``, ``c`` of shape
+    ``(batch, length, state)``, it computes::
+
+        decay_t = exp(delta_t[:, None] * a)
+        drive_t = (delta_t[:, None] * b_t[None, :]) * u_t[:, None]
+        h_t     = decay_t * h_{t-1} + drive_t        (h_{-1} = 0)
+        y_t     = h_t @ c_t
+
+    and returns ``y`` of shape ``(batch, length, inner)``. ``decay``,
+    ``drive`` and ``h`` are formed with the same products, associated the
+    same way, as separate autograd ops would form them, so ``h`` matches
+    that composite bit for bit; ``y`` sums over ``state`` in BLAS order.
+
+    The four-axis arrays are laid out ``(length, batch, state, inner)``.
+    Every step of the recurrence is then one contiguous block, and every
+    broadcast runs along the wide ``inner`` axis rather than the narrow
+    ``state`` one. The backward runs the adjoint recurrence in reverse
+    time, ``g_t = c_t * gy_t + decay_{t+1} * g_{t+1}``, and contracts
+    ``g`` into every input gradient with matmuls, save the two that keep
+    the ``inner`` axis on every operand, which are ``einsum`` calls.
     """
 
-    def forward(self, decay: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if decay.shape != x.shape:
-            raise ValueError(f"decay shape {decay.shape} != input shape {x.shape}")
-        batch, length, channels = x.shape
-        h = np.zeros((batch, length, channels), dtype=x.dtype)
-        state = np.zeros((batch, channels), dtype=x.dtype)
-        for t in range(length):
-            state = decay[:, t] * state + x[:, t]
-            h[:, t] = state
-        self.save_for_backward(decay, h)
-        return h
+    def forward(
+        self, u: np.ndarray, delta: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
+    ) -> np.ndarray:
+        if u.ndim != 3 or delta.shape != u.shape:
+            raise ValueError(f"u {u.shape} and delta {delta.shape} must both be (batch, length, inner)")
+        if a.ndim != 2 or a.shape[0] != u.shape[2]:
+            raise ValueError(f"a {a.shape} must be (inner, state) with inner={u.shape[2]}")
+        if b.shape != u.shape[:2] + a.shape[1:] or c.shape != b.shape:
+            raise ValueError(f"b {b.shape} and c {c.shape} must be {u.shape[:2] + a.shape[1:]}")
+        delta_t = _time_major(delta)[:, :, None, :]
+        decay = delta_t * np.ascontiguousarray(a.T)
+        np.exp(decay, out=decay)
+        h = delta_t * _time_major(b)[..., None]
+        h *= _time_major(u)[:, :, None, :]
+        step = np.empty_like(h[0])
+        for t in range(1, h.shape[0]):
+            np.multiply(decay[t], h[t - 1], out=step)
+            h[t] += step
+        self.save_for_backward(u, delta, a, b, c, decay, h)
+        return _batch_major((_time_major(c)[:, :, None, :] @ h)[:, :, 0])
 
     def backward(self, grad_out: np.ndarray):
-        decay, h = self.saved
-        batch, length, channels = h.shape
-        grad_x = np.zeros_like(h)
-        grad_decay = np.zeros_like(decay)
-        adjoint = np.zeros((batch, channels), dtype=h.dtype)
-        for t in range(length - 1, -1, -1):
-            adjoint = grad_out[:, t] + adjoint
-            grad_x[:, t] = adjoint
-            previous = h[:, t - 1] if t > 0 else np.zeros((batch, channels), dtype=h.dtype)
-            grad_decay[:, t] = adjoint * previous
-            adjoint = adjoint * decay[:, t]
-        return grad_decay, grad_x
+        u, delta, a, b, c, decay, h = self.saved
+        need_u, need_delta, need_a, need_b, need_c = self.needs_input_grad
+        length, batch, state, inner = h.shape
+        gy = _time_major(grad_out)
+        grad_c = _batch_major((h @ gy[..., None])[..., 0]) if need_c else None
+        if not (need_u or need_delta or need_a or need_b):
+            return None, None, None, None, grad_c
+
+        adjoint = _time_major(c)[..., None] * gy[:, :, None, :]
+        step = np.empty_like(adjoint[0])
+        for t in range(length - 2, -1, -1):
+            np.multiply(decay[t + 1], adjoint[t + 1], out=step)
+            adjoint[t] += step
+        # d(loss)/d(drive) is the adjoint; drive = delta * b * u.
+        w = (_time_major(b)[:, :, None, :] @ adjoint)[:, :, 0]  # sum over state of adjoint * b
+        delta_t, u_t = _time_major(delta), _time_major(u)
+        grad_u = _batch_major(w * delta_t) if need_u else None
+        grad_b = _batch_major((adjoint @ (delta_t * u_t)[..., None])[..., 0]) if need_b else None
+        grad_delta = grad_a = None
+        if need_delta or need_a:
+            # d(loss)/d(delta * a) = adjoint_t * h_{t-1} * decay_t; zero at t = 0.
+            grad_z = adjoint[1:]
+            grad_z *= h[:-1]
+            grad_z *= decay[1:]
+            grad_z = grad_z.reshape(-1, state, inner)
+            if need_delta:
+                from_decay = np.einsum("knd,dn->kd", grad_z, a).reshape(length - 1, batch, inner)
+                grad_delta = w * u_t
+                grad_delta[1:] += from_decay
+                grad_delta = _batch_major(grad_delta)
+            if need_a:
+                grad_a = np.einsum("knd,kd->dn", grad_z, delta_t[1:].reshape(-1, inner))
+        return grad_u, grad_delta, grad_a, grad_b, grad_c
 
 
 # ---------------------------------------------------------------------------
@@ -730,5 +789,5 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return Dropout.apply(_as_tensor(a), mask, 1.0 / (1.0 - p))
 
 
-def scan_diag(decay: Tensor, x: Tensor) -> Tensor:
-    return ScanDiag.apply(_as_tensor(decay), _as_tensor(x))
+def ssm_scan(u, delta, a, b, c) -> Tensor:
+    return SsmScan.apply(_as_tensor(u), _as_tensor(delta), _as_tensor(a), _as_tensor(b), _as_tensor(c))

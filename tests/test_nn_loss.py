@@ -4,7 +4,30 @@ import numpy as np
 import pytest
 
 from repro.nn import IGNORE_INDEX, cross_entropy, token_accuracy
-from repro.tensor import Tensor
+from repro.tensor import Tensor, ops
+
+
+def full_row_cross_entropy(logits, targets):
+    """The loss as it was before masked rows were dropped: log-softmax of
+    every row, then a gather of the kept ones."""
+    targets = np.asarray(targets)
+    if logits.ndim == 3:
+        logits = logits.reshape(-1, logits.shape[-1])
+        targets = targets.reshape(-1)
+    kept_rows = np.nonzero(targets != IGNORE_INDEX)[0]
+    log_probs = ops.log_softmax(logits, axis=-1)
+    return -log_probs[kept_rows, targets[kept_rows]].sum() / kept_rows.size
+
+
+def masked_targets(rng, shape, vocab, kept):
+    """Random targets with only the flat positions in ``kept`` unmasked
+    (all of them when ``kept`` is None)."""
+    targets = rng.integers(0, vocab, shape)
+    if kept is not None:
+        flat = np.full(targets.size, IGNORE_INDEX)
+        flat[kept] = targets.reshape(-1)[kept]
+        targets = flat.reshape(shape)
+    return targets
 
 
 class TestCrossEntropy:
@@ -60,6 +83,32 @@ class TestCrossEntropy:
         logits[1, 2] = 100.0
         loss = cross_entropy(Tensor(logits), np.array([1, 2])).item()
         assert loss < 1e-6
+
+
+    @pytest.mark.parametrize(
+        "shape, kept",
+        [((12, 7), [1, 4, 5, 11]), ((3, 5, 7), [0, 6, 7, 13]), ((3, 5, 7), [9]), ((3, 5, 7), None)],
+        ids=["2d", "3d", "one-row", "all-rows"],
+    )
+    def test_matches_full_row_loss_bit_for_bit(self, rng, shape, kept):
+        data = rng.standard_normal(shape) * 3
+        targets = masked_targets(rng, shape[:-1], shape[-1], kept)
+        results = []
+        for loss_fn in (cross_entropy, full_row_cross_entropy):
+            logits = Tensor(data, requires_grad=True)
+            loss = loss_fn(logits, targets)
+            loss.backward()
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    def test_out_of_range_target_raises(self, rng, bad):
+        targets = np.array([0, bad, IGNORE_INDEX, 4])
+        with pytest.raises(ValueError, match=rf"target {bad} "):
+            cross_entropy(Tensor(rng.standard_normal((4, 5))), targets)
+
+    def test_vocab_edges_are_in_range(self, rng):
+        cross_entropy(Tensor(rng.standard_normal((2, 5))), np.array([0, 4]))
 
 
 class TestTokenAccuracy:

@@ -71,6 +71,15 @@ class TestBackwardMechanics:
         (a * 3).backward(np.array([1.0, 10.0]))
         np.testing.assert_allclose(a.grad, [3.0, 30.0])
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (6,)], ids=["transposed", "wrong-size", "flat"])
+    def test_misshaped_grad_raises(self, shape):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = a * 2.0
+        with pytest.raises(ValueError, match=r"\(2, 3\)") as info:
+            out.backward(np.ones(shape))
+        assert str(shape) in str(info.value)
+        assert a.grad is None
+
     def test_grad_accumulates_across_backwards(self):
         a = Tensor([1.0], requires_grad=True)
         (a * 2).sum().backward()

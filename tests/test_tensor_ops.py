@@ -121,6 +121,14 @@ class TestUnaryOps:
     def test_gelu_matches_reference_at_zero(self):
         assert ops.gelu(Tensor([0.0])).data[0] == pytest.approx(0.0)
 
+    def test_gelu_cube_matches_pow_form(self):
+        """``a * a * a`` is within an ulp of ``a**3``; where ``1 + tanh``
+        cancels, in the far negative tail, the outputs are ~0 and the
+        absolute tolerance takes over."""
+        a = np.random.default_rng(3).standard_normal(100_000) * 2
+        pow_form = 0.5 * a * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (a + 0.044715 * a**3)))
+        np.testing.assert_allclose(ops.gelu(Tensor(a)).data, pow_form, rtol=1e-15, atol=1e-15)
+
     def test_silu_matches_x_times_sigmoid(self):
         x = RNG.standard_normal((10,))
         np.testing.assert_allclose(
@@ -286,27 +294,83 @@ class TestWhereDropout:
             ops.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
-class TestScanDiag:
+def scan_inputs(batch=2, length=6, inner=3, state=2, rng=RNG):
+    """``(u, delta, a, b, c)`` as the mixer feeds them: delta > 0, a < 0."""
+    return [
+        rng.standard_normal((batch, length, inner)),
+        rng.uniform(0.1, 1.0, (batch, length, inner)),
+        -rng.uniform(0.5, 2.0, (inner, state)),
+        rng.standard_normal((batch, length, state)),
+        rng.standard_normal((batch, length, state)),
+    ]
+
+
+class TestSsmScan:
     def test_matches_naive_recurrence(self):
-        decay = RNG.uniform(0.1, 0.9, (2, 6, 3))
-        x = RNG.standard_normal((2, 6, 3))
-        out = ops.scan_diag(Tensor(decay), Tensor(x)).data
-        state = np.zeros((2, 3))
+        u, delta, a, b, c = scan_inputs()
+        out = ops.ssm_scan(*map(Tensor, (u, delta, a, b, c))).data
+        h = np.zeros((2, 3, 2))
         for t in range(6):
-            state = decay[:, t] * state + x[:, t]
-            np.testing.assert_allclose(out[:, t], state, rtol=1e-12)
+            decay = np.exp(delta[:, t, :, None] * a)
+            h = decay * h + delta[:, t, :, None] * b[:, t, None, :] * u[:, t, :, None]
+            np.testing.assert_allclose(out[:, t], (h * c[:, t, None, :]).sum(-1), rtol=1e-12)
 
     def test_grads(self):
-        check_grad(
-            lambda d, x: ops.scan_diag(d, x),
-            [RNG.uniform(0.2, 0.8, (2, 5, 3)), RNG.standard_normal((2, 5, 3))],
-        )
+        check_grad(lambda u, d, a, b, c: ops.ssm_scan(u, d, a, b, c), scan_inputs(length=5))
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ops.scan_diag(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 4))))
+        good = [(1, 2, 3), (1, 2, 3), (3, 2), (1, 2, 2), (1, 2, 2)]
+        bad = {1: (1, 2, 4), 2: (4, 2), 3: (1, 2, 3), 4: (1, 3, 2)}  # input index -> wrong shape
+        for position, shape in bad.items():
+            shapes = good[:position] + [shape] + good[position + 1 :]
+            with pytest.raises(ValueError):
+                ops.ssm_scan(*(Tensor(np.ones(s)) for s in shapes))
+        with pytest.raises(ValueError):  # no batch axis
+            ops.ssm_scan(*(Tensor(np.ones(s[1:] if len(s) == 3 else s)) for s in good))
 
     def test_zero_decay_is_identity(self):
-        x = RNG.standard_normal((1, 4, 2))
-        out = ops.scan_diag(Tensor(np.zeros_like(x)), Tensor(x))
-        np.testing.assert_allclose(out.data, x)
+        """exp(delta * a) underflows to 0: the state is just this step's drive."""
+        u, delta, a, b, c = scan_inputs()
+        out = ops.ssm_scan(*map(Tensor, (u, delta, np.full_like(a, -1e5), b, c))).data
+        np.testing.assert_allclose(out, delta * u * (b * c).sum(-1, keepdims=True), rtol=1e-12)
+
+    @pytest.mark.parametrize("trained", [(0,), (1, 2), (3,), (4,), (0, 1, 2, 3)])
+    def test_frozen_inputs_get_no_grad(self, trained):
+        arrays = scan_inputs()
+        full = [Tensor(x, requires_grad=True) for x in arrays]
+        ops.ssm_scan(*full).sum().backward()
+        tensors = [Tensor(x, requires_grad=i in trained) for i, x in enumerate(arrays)]
+        out = ops.ssm_scan(*tensors)
+        grads = out._ctx.backward(np.ones(out.shape))
+        for i, grad in enumerate(grads):
+            if i in trained:
+                np.testing.assert_allclose(grad, full[i].grad, rtol=1e-12)
+            else:
+                assert grad is None
+
+    def test_mixer_under_checkpoint_matches_reference(self, ssm_reference):
+        from repro.nn import MambaMixer
+        from repro.tensor import checkpoint
+
+        def reference_forward(mixer, x):
+            inner, state, rank = mixer.inner_dim, mixer.state_dim, mixer.dt_rank
+            projected = mixer.in_proj(x)
+            u = ops.silu(mixer.conv(projected[:, :, :inner]))
+            params = mixer.x_proj(u)
+            delta = ops.softplus(mixer.dt_proj(params[:, :, :rank]))
+            b, c = params[:, :, rank : rank + state], params[:, :, rank + state :]
+            y = ssm_reference(u, delta, -ops.exp(mixer.a_log), b, c) + u * mixer.d_skip
+            return mixer.out_proj(y * ops.silu(projected[:, :, inner:]))
+
+        mixer = MambaMixer(8, state_dim=3, rng=np.random.default_rng(5))
+        x_data = RNG.standard_normal((2, 6, 8))
+        grad_out = RNG.standard_normal((2, 6, 8))
+        results = []
+        for run in (lambda x: checkpoint(mixer, x), lambda x: reference_forward(mixer, x)):
+            mixer.zero_grad()
+            x = Tensor(x_data, requires_grad=True)
+            out = run(x)
+            out.backward(grad_out)
+            results.append([out.data, x.grad] + [p.grad.copy() for p in mixer.parameters()])
+        for fused, composite in zip(*results):
+            np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-14)

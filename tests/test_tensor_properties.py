@@ -64,17 +64,54 @@ def test_double_negation(x):
     np.testing.assert_allclose((-(-Tensor(x))).data, x)
 
 
+scan_dims = st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def scan_inputs(draw):
+    """``(u, delta, a, b, c)`` for ``ops.ssm_scan``: delta > 0 and a < 0,
+    as the Mamba mixer feeds it, so every decay lies in (0, 1)."""
+    batch, length, inner, state = draw(scan_dims)
+    unit = st.floats(min_value=-1, max_value=1, allow_subnormal=False)
+    return (
+        draw(arrays(np.float64, (batch, length, inner), elements=unit)),
+        draw(arrays(np.float64, (batch, length, inner), elements=st.floats(min_value=0.05, max_value=3))),
+        draw(arrays(np.float64, (inner, state), elements=st.floats(min_value=-3, max_value=-0.02))),
+        draw(arrays(np.float64, (batch, length, state), elements=unit)),
+        draw(arrays(np.float64, (batch, length, state), elements=unit)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_inputs(), st.integers(0, 2**32 - 1))
+def test_ssm_scan_matches_composite(ssm_reference, inputs, seed):
+    """The fused op and the op-by-op composite agree on the output and on
+    all five gradients."""
+    grad_out = np.random.default_rng(seed).standard_normal(inputs[0].shape)
+    results = []
+    for fn in (ops.ssm_scan, ssm_reference):
+        tensors = [Tensor(x, requires_grad=True) for x in inputs]
+        out = fn(*tensors)
+        out.backward(grad_out)
+        results.append([out.data] + [t.grad for t in tensors])
+    for fused, composite in zip(*results):
+        # Sums taken in another order differ in the last bits of the
+        # largest term, and by a subnormal step where products underflow.
+        atol = 1e-12 * np.abs(composite).max(initial=0.0) + np.finfo(np.float64).tiny
+        np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=atol)
+
+
 @settings(max_examples=30, deadline=None)
-@given(
-    arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3)),
-           elements=st.floats(min_value=0.0, max_value=0.95)),
-)
-def test_scan_bounded_by_geometric_sum(decay):
-    """With |x| <= 1 and decay in [0, 1), |h_t| <= 1/(1-max_decay)."""
-    x = np.ones_like(decay)
-    out = ops.scan_diag(Tensor(decay), Tensor(x)).data
-    bound = 1.0 / (1.0 - decay.max() + 1e-12)
-    assert np.all(np.abs(out) <= bound + 1e-6)
+@given(scan_inputs())
+def test_scan_bounded_by_geometric_sum(inputs):
+    """With |drive| <= m and decay <= r < 1, |h_t| <= m / (1 - r), so
+    |y_t| <= state * max|c| * m / (1 - r)."""
+    u, delta, a, b, c = inputs
+    out = ops.ssm_scan(*map(Tensor, inputs)).data
+    max_decay = np.exp(delta[..., None] * a).max()
+    max_drive = np.abs(delta[..., None] * b[:, :, None, :] * u[..., None]).max()
+    bound = a.shape[1] * np.abs(c).max() * max_drive / (1.0 - max_decay)
+    assert np.all(np.abs(out) <= bound * (1 + 1e-9) + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
