@@ -300,6 +300,47 @@ class TestPlanCLI:
         assert "invalid literal" in capsys.readouterr().err
 
 
+class TestPlanCLIValidation:
+    """The CLI rejects what the service rejects: each value is a
+    ``parser.error`` naming the flag, never a plan or a traceback."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--deadline-hours", "nan"),
+        ("--epochs", "0"),
+        ("--epochs", "-3"),
+        ("--num-queries", "0"),
+        ("--budget", "0"),
+        ("--batch-size", "0"),
+        ("--batch-size", "-4"),
+        ("--seq-len", "-5"),
+        ("--dataset", "nosuch"),
+    ])
+    def test_out_of_range_flag_is_a_parser_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            plan_main(["--model", "mixtral", "--gpu", "a40", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+    def test_unknown_dataset_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            plan_main(["--model", "mixtral", "--dataset", "nosuch"])
+        err = capsys.readouterr().err
+        assert "--dataset" in err and "math14k" in err and "openorca" in err
+
+    @pytest.mark.parametrize("extra,duplicated", [
+        (["--gpu", "a40"], ["--gpu", "a40", "--gpu", "A40"]),
+        (["--gpu", "a40", "--batch-size", "1"],
+         ["--gpu", "a40", "--batch-size", "1", "--batch-size", "1"]),
+    ])
+    def test_duplicate_list_entries_plan_once(self, capsys, extra, duplicated):
+        argv = ["--model", "mixtral", "--num-gpus", "1", "--json"]
+        assert plan_main(argv + extra) == 0
+        single = capsys.readouterr().out
+        assert plan_main(argv + duplicated) == 0
+        assert capsys.readouterr().out == single
+
+
 class TestClusterExperiment:
     def test_experiment_registered_and_runs(self):
         from repro.experiments import ALL_EXPERIMENTS, cluster_plan

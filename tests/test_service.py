@@ -4,6 +4,7 @@ normalization, and the HTTP surface."""
 
 import contextlib
 import http.client
+import io
 import json
 import socket
 import threading
@@ -12,13 +13,16 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.cloud.pricing import DEFAULT_CATALOG, GPUPrice, PriceCatalog
+from repro.cluster.plan import main as cluster_plan_main
 from repro.scenarios import (
     InFlightMap,
     Scenario,
     SimulationCache,
     SingleFlight,
+    default_cache,
 )
 from repro.serialization import dumps
 from repro.service import PlanningService, PricingCatalog as LivePricing, RequestError
@@ -28,6 +32,7 @@ from repro.service.app import (
     request_digest,
 )
 from repro.service.serve import make_server
+from repro.spot.plan import main as spot_plan_main
 from repro.telemetry import validate_file
 from repro.telemetry.runstore import RunStore
 
@@ -416,6 +421,184 @@ class TestNormalization:
         assert request["risk_mode"] == "analytic"
         assert request["confidence"] == 0.95
         assert request["seed"] == 20240724
+
+
+class TestDuplicatesAndDatasets:
+    @pytest.mark.parametrize("kind,field,single,duplicated", [
+        ("cluster", "gpu", "a40", ["a40", "A40"]),
+        ("cluster", "provider", "cudo", ["cudo", "cudo"]),
+        ("cluster", "batch_size", 1, [1, 1]),
+        ("cluster", "interconnect", "nvlink", ["nvlink", "nvlink"]),
+        ("cluster", "grad_accum", [1, 4], [1, 4, 1]),
+        ("spot", "checkpoint_minutes", 30, [30, 30.0]),
+    ])
+    def test_duplicate_entries_are_the_single_spelling(self, kind, field, single, duplicated):
+        """Entries are deduped after resolution: a repeated (or
+        re-spelled) entry gives the single spelling's echo, digest and
+        plan, not a doubled candidate list or a split coalescing key."""
+        service = PlanningService()
+        base = {"model": "mixtral", "gpu": "a40", "num_gpus": 1}
+        one = json.loads(service.plan(kind, dict(base, **{field: single})))
+        two = json.loads(service.plan(kind, dict(base, **{field: duplicated})))
+        assert two["request"] == one["request"]
+        assert two["request_digest"] == one["request_digest"]
+        assert two["plan"] == one["plan"]
+
+    def test_unknown_dataset_is_a_400_listing_the_choices(self):
+        service = PlanningService()
+        body = {"model": "mixtral", "gpu": "a40", "num_gpus": 1, "dataset": "nosuch"}
+        with pytest.raises(RequestError) as excinfo:
+            service.plan("cluster", body)
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "'dataset'" in message and "math14k" in message and "openorca" in message
+
+
+# ---------------------------------------------------------------------------
+# CLI/service parity: one request, many spellings, one plan
+# ---------------------------------------------------------------------------
+
+MODEL_SPELLINGS = {
+    "mixtral-8x7b": ("mixtral", "Mixtral", "MIXTRAL", "mixtral-8x7b"),
+    "blackmamba-2.8b": ("blackmamba", "BlackMamba", "blackmamba-2.8b"),
+}
+GPU_SPELLINGS = {"A40": ("a40", "A40"), "H100-80GB": ("h100", "H100-80GB", "h100-80gb")}
+
+# Scalar fields: (flag, values a request may set, the default a spelling
+# may state explicitly — None when the default is "unset").
+PARITY_SCALARS = {
+    "dataset": ("--dataset", ("math14k", "commonsense15k"), "math14k"),
+    "density": ("--density", ("sparse", "dense", "both"), "both"),
+    "epochs": ("--epochs", (3, 10), 10),
+    "deadline_hours": ("--deadline-hours", (24.0, 48.5), None),
+    "budget_dollars": ("--budget", (150.0, 400.0), None),
+}
+PARITY_SPOT_SCALARS = {
+    "spot": ("--spot", ("both", "only", "off"), "both"),
+    "confidence": ("--confidence", (0.9, 0.95), 0.95),
+    "mtbp_hours": ("--mtbp-hours", (4.0, 12.0), None),
+}
+
+# Single-field mutations each surface must reject, naming the field:
+# (field, flag, body value, argv value, kinds).
+INVALID = (
+    ("dataset", "--dataset", "nosuch", "nosuch", ("cluster", "spot")),
+    ("deadline_hours", "--deadline-hours", float("nan"), "nan", ("cluster", "spot")),
+    ("epochs", "--epochs", 0, "0", ("cluster", "spot")),
+    ("epochs", "--epochs", -3, "-3", ("cluster", "spot")),
+    ("num_queries", "--num-queries", 0, "0", ("cluster", "spot")),
+    ("budget_dollars", "--budget", 0, "0", ("cluster", "spot")),
+    ("batch_size", "--batch-size", 0, "0", ("cluster", "spot")),
+    ("batch_size", "--batch-size", -4, "-4", ("cluster", "spot")),
+    ("seq_len", "--seq-len", -5, "-5", ("cluster", "spot")),
+    ("num_gpus", "--num-gpus", [0, 2], "0,2", ("cluster", "spot")),
+    ("confidence", "--confidence", 1.5, "1.5", ("spot",)),
+    ("mtbp_hours", "--mtbp-hours", 0, "0", ("spot",)),
+    ("checkpoint_minutes", "--checkpoint-minutes", [30, 0], "30,0", ("spot",)),
+)
+
+
+def _number(value) -> str:
+    """A number as a user types it: ``24`` not ``24.0``."""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
+
+
+@st.composite
+def spelled_requests(draw):
+    """One small plan request (A40/H100, at most 2 GPUs), spelled once
+    as a service body and once as CLI argv, each way drawn at random:
+    aliases and case, scalar or one-element list, a re-spelled duplicate
+    entry, comma list or repeated flag, explicit or omitted defaults."""
+    kind = draw(st.sampled_from(("cluster", "spot")))
+    model = draw(st.sampled_from(sorted(MODEL_SPELLINGS)))
+    body = {"model": draw(st.sampled_from(MODEL_SPELLINGS[model]))}
+    argv = ["--model", draw(st.sampled_from(MODEL_SPELLINGS[model]))]
+
+    gpus = draw(st.lists(st.sampled_from(sorted(GPU_SPELLINGS)), min_size=1, max_size=2, unique=True))
+    spelled = [draw(st.sampled_from(GPU_SPELLINGS[gpu])) for gpu in gpus]
+    if draw(st.booleans()):
+        spelled.append(draw(st.sampled_from(GPU_SPELLINGS[gpus[0]])))
+    body["gpu"] = spelled[0] if len(spelled) == 1 and draw(st.booleans()) else spelled
+    for gpu in gpus:
+        argv += ["--gpu", draw(st.sampled_from(GPU_SPELLINGS[gpu]))]
+
+    lists = {"num_gpus": ("--num-gpus", (1, 2))}
+    if kind == "spot":
+        lists["checkpoint_minutes"] = ("--checkpoint-minutes", (30.0, 60.0))
+    for name, (flag, pool) in lists.items():
+        if name != "num_gpus" and draw(st.booleans()):
+            continue  # leave the field at its default
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+        body[name] = values[0] if len(values) == 1 and draw(st.booleans()) else values
+        text = [_number(v) for v in values]
+        if draw(st.booleans()):
+            argv += [flag, ",".join(text)]
+        else:
+            for part in text:
+                argv += [flag, part]
+
+    scalars = dict(PARITY_SCALARS, **(PARITY_SPOT_SCALARS if kind == "spot" else {}))
+    for name, (flag, pool, default) in scalars.items():
+        value = draw(st.sampled_from((None,) + pool))
+        if value is None:
+            if default is not None and draw(st.booleans()):
+                body[name] = default
+            if default is not None and draw(st.booleans()):
+                argv += [flag, _number(default)]
+            continue
+        integral = isinstance(value, float) and value.is_integer()
+        body[name] = int(value) if integral and draw(st.booleans()) else value
+        argv += [flag, _number(value)]
+    return kind, body, argv
+
+
+def _cli(kind, argv):
+    """(exit code, stdout, stderr) of one plan CLI run in process."""
+    main = spot_plan_main if kind == "spot" else cluster_plan_main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def parity_service():
+    """A service on the CLIs' default cache, so each request simulates
+    once for both surfaces."""
+    return PlanningService(cache=default_cache())
+
+
+class TestCLIServiceParity:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spelled_requests())
+    def test_cli_json_is_the_service_plan_byte_for_byte(self, parity_service, request):
+        kind, body, argv = request
+        response = json.loads(parity_service.plan(kind, body))
+        code, out, err = _cli(kind, argv + ["--json"])
+        assert code == 0, err
+        assert out == dumps(response["plan"], indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spelled_requests(), st.sampled_from(INVALID))
+    def test_single_field_mutation_is_rejected_naming_the_field(
+        self, parity_service, request, mutation
+    ):
+        kind, body, argv = request
+        name, flag, bad, text, kinds = mutation
+        assume(kind in kinds)
+        with pytest.raises(RequestError) as excinfo:
+            parity_service.plan(kind, dict(body, **{name: bad}))
+        assert excinfo.value.status == 400
+        assert repr(name) in str(excinfo.value)
+        code, out, err = _cli(kind, argv + [flag, text])
+        assert code == 2 and not out
+        assert flag in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
