@@ -6,7 +6,8 @@ pays for simulation and everyone after rides the shared warm cache.
 This example boots the real HTTP server in-process (ephemeral port) and
 walks the three serving behaviors:
 
-1. cold vs warm — the second identical request simulates nothing;
+1. cold vs warm — the second identical request is one plan-memo
+   lookup: it simulates nothing and does not plan again;
 2. request coalescing — a burst of identical requests computes once
    and everyone receives byte-identical plans;
 3. the /stats ledger — where the time went, per the service itself.
@@ -52,9 +53,9 @@ def cold_then_warm(base: str) -> None:
           f"in {best['hours']:.2f} h")
     print(f"  cold: {cold_ms:7.1f} ms, {cold['engine']['simulations']} simulations")
     print(f"  warm: {warm_ms:7.1f} ms, {warm['engine']['simulations']} simulations "
-          f"({warm['engine']['hits']} cache hits)")
+          f"({warm['engine']['hits']} lookup: the plan memo)")
     assert warm["plan"] == cold["plan"]
-    print("  -> identical plan, zero re-simulation\n")
+    print("  -> identical plan, neither re-simulated nor re-planned\n")
 
 
 def coalesced_burst(base: str, service: PlanningService) -> None:

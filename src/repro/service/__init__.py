@@ -6,8 +6,11 @@ startup and cache warm-up per query. This package keeps one process
 alive around the planners (:class:`~repro.cluster.planner.ClusterPlanner`
 and :class:`~repro.spot.planner.RiskAdjustedPlanner`) so every request
 shares one warm :class:`~repro.scenarios.cache.SimulationCache`, and
-adds three server-grade performance layers:
+adds four server-grade performance layers:
 
+* **plan memo** — a sequential repeat of a request is served from its
+  memoized, serialized plan block (keyed by the request digest, in the
+  shared cache) instead of planning and serializing again;
 * **request coalescing** — concurrent requests with the same canonical
   request digest share one plan computation (and receive byte-identical
   responses), via :class:`~repro.scenarios.singleflight.SingleFlight`;
@@ -31,7 +34,6 @@ no-new-dependencies rule applies to the serving layer too.
 
 from .app import PlanningService, RequestError
 from .catalog import DEFAULT_TTL_SECONDS, PricingCatalog
-from .serve import make_server
 
 __all__ = [
     "DEFAULT_TTL_SECONDS",
@@ -40,3 +42,14 @@ __all__ = [
     "RequestError",
     "make_server",
 ]
+
+
+def __getattr__(name):
+    # ``serve`` is imported on first use, not here: an eager import would
+    # put it in sys.modules before ``python -m repro.service.serve`` runs
+    # it as __main__, and runpy would execute the module twice.
+    if name == "make_server":
+        from .serve import make_server
+
+        return make_server
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

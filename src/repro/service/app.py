@@ -27,6 +27,17 @@ metrics and the optional telemetry block), so the only thing that
 distinguishes a warm repeat from its cold predecessor is the ``engine``
 delta block — which is exactly what it is for.
 
+Plan memo: a plan is a pure function of what the digest covers, so the
+serialized ``plan`` block is memoized per digest in the shared cache
+(``SimulationCache.memoize``, key ``("plan-response", digest,
+traced)``), zlib-compressed, next to the planner's grid digest for the
+traced manifest. A sequential repeat then skips planning and plan
+serialization: it builds its own head (echo, digest, this request's
+pricing staleness, ``engine`` deltas) and splices the memoized plan text
+in after it, giving the same bytes a fresh computation would. The memo
+shares the cache's LRU bound, single-flight and ``hits``/``misses``
+accounting, so a warm repeat's ``engine`` block reads ``hits: 1``.
+
 The per-request ``engine`` block reports the cache-counter deltas the
 request observed (simulations, hits, ...). Under concurrent *distinct*
 requests the deltas can attribute a neighbor's traffic (the counters
@@ -39,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import zlib
 from typing import Callable, Dict, Optional
 
 from ..cluster.request import ClusterPlanRequest, RequestError
@@ -80,6 +92,14 @@ def request_digest(kind: str, request: Dict[str, object], catalog_digest: str) -
         separators=(",", ":"),
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _member_text(value) -> str:
+    """``value`` serialized as a member of a top-level object dumped with
+    ``indent=2``: every line after the first gains the two spaces of its
+    nesting (JSON strings hold no raw newlines, so each one is a line
+    break)."""
+    return dumps(value, indent=2).replace("\n", "\n  ")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +188,13 @@ class PlanningService:
         tracer = Tracer(enabled=self._traced)
         before = self.cache.stats()
         with tracer.span("service.request", kind=kind, digest=digest[:16]):
-            planner, plan = request.run(cache=self.cache, catalog=catalog, tracer=tracer)
+            with tracer.span("service.plan_memo"):
+                packed_plan, grid = self.cache.memoize(
+                    ("plan-response", digest, self._traced),
+                    lambda: self._plan_entry(request, catalog, tracer),
+                )
         after = self.cache.stats()
-        payload = {
+        head = {
             "kind": kind,
             "request": echo,
             "request_digest": digest,
@@ -184,26 +208,41 @@ class PlanningService:
                 "risk_misses": after.risk_misses - before.risk_misses,
                 "evictions": after.evictions - before.evictions,
             },
-            "plan": plan.to_payload(),
         }
+        # The response is dumps(head + plan [+ telemetry], indent=2),
+        # assembled by position: the head's closing "\n}" is cut and the
+        # later members appended, so no echoed value can move a splice.
+        parts = [
+            dumps(head, indent=2)[:-2],
+            ',\n  "plan": ',
+            zlib.decompress(packed_plan).decode("utf-8"),
+        ]
         if self._traced:
-            payload["telemetry"] = self._export_telemetry(
-                kind, echo, tracer, after, planner
-            )
-        return dumps(payload, indent=2)
+            telemetry = self._export_telemetry(kind, echo, tracer, after, grid)
+            parts += [',\n  "telemetry": ', _member_text(telemetry)]
+        parts.append("\n}")
+        return "".join(parts)
 
-    def _export_telemetry(self, kind, request, tracer, stats, planner):
+    def _plan_entry(self, request, catalog, tracer):
+        """One plan-memo entry: the compressed ``plan`` member text and
+        the swept grid's digest. Only a traced service reads the digest
+        (for the manifest), and at ~2 ms per 48-cell grid an untraced one
+        skips it; the memo key carries ``traced`` so services sharing one
+        cache never read each other's entries."""
+        planner, plan = request.run(cache=self.cache, catalog=catalog, tracer=tracer)
+        grid = planner.last_grid
+        return (
+            zlib.compress(_member_text(plan.to_payload()).encode("utf-8")),
+            grid_digest(grid) if self._traced and grid is not None else None,
+        )
+
+    def _export_telemetry(self, kind, request, tracer, stats, grid):
         """Mirror ``finish_telemetry`` per request: manifest from the
         cache's own accounting, JSONL rewrite, run-store ingest, and the
-        response's telemetry block."""
-        grid = planner.last_grid
+        response's telemetry block. ``grid`` is the plan's grid digest."""
         snapshot = merge_snapshots(self.cache.metrics.snapshot(), self.metrics.snapshot())
         manifest = build_manifest(
-            f"repro.service.plan_{kind}",
-            request,
-            tracer,
-            stats,
-            grid=grid_digest(grid) if grid is not None else None,
+            f"repro.service.plan_{kind}", request, tracer, stats, grid=grid
         )
         if self._telemetry_out:
             write_events(self._telemetry_out, tracer, snapshot, manifest)

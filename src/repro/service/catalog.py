@@ -74,7 +74,7 @@ class PricingCatalog:
         clock: Callable[[], float] = time.monotonic,
         fetch: Callable[[str], object] = fetch_feed,
     ) -> None:
-        if ttl_seconds <= 0:
+        if not ttl_seconds > 0:  # NaN fails every comparison: reject it too
             raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
         self._feed = str(feed) if feed is not None else None
         self._ttl = float(ttl_seconds)

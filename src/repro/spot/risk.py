@@ -36,8 +36,8 @@ property tests in ``tests/test_spot.py`` pin that tolerance.
 **Layer 3 — batched Monte Carlo (validation path).** :class:`SpotSimulator`
 samples the identical segment process, vectorized: attempts are drawn in
 rectangular blocks over all still-unresolved (trial, segment) pairs at
-once via inverse-CDF exponential sampling on the repo's own tensor layer
-(uniforms from ``numpy.random.default_rng(seed)``, transformed with
+once via inverse-CDF exponential sampling in plain numpy (uniforms
+from ``numpy.random.default_rng(seed)``, transformed with
 ``-log(1 - u) / lam``), and survivor masks replace the inner ``while``.
 The guard thresholds (``max_makespan_hours`` time cap, checked after
 each failure; ``MAX_ATTEMPTS_PER_SEGMENT``) are preserved so
@@ -63,7 +63,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
 from .checkpoint import CheckpointPolicy
 
 DEFAULT_TRIALS = 512
@@ -486,11 +485,10 @@ def _exponential_waits(
     rng: np.random.Generator, rows: int, cols: int, rate: float
 ) -> np.ndarray:
     """A ``(rows, cols)`` block of exponential preemption waits via the
-    inverse CDF, scheduled through the repo's tensor layer: uniforms come
-    from the seeded numpy stream (the documented part of the contract),
-    the ``-log(1 - u) / rate`` transform runs as tensor ops."""
+    inverse CDF: uniforms from the seeded numpy stream (the documented
+    part of the contract), transformed by ``-log(1 - u) / rate``."""
     uniforms = rng.random((rows, cols))
-    return (-(Tensor(1.0 - uniforms).log()) / rate).numpy()
+    return -np.log(1.0 - uniforms) / rate
 
 
 def _attempt_block(rate: float, seg_hours: float, rows: int) -> int:

@@ -6,11 +6,15 @@ import contextlib
 import http.client
 import io
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -31,7 +35,7 @@ from repro.service.app import (
     normalize_spot_request,
     request_digest,
 )
-from repro.service.serve import make_server
+from repro.service.serve import main as serve_main, make_server
 from repro.spot.plan import main as spot_plan_main
 from repro.telemetry import validate_file
 from repro.telemetry.runstore import RunStore
@@ -277,6 +281,21 @@ class TestPricingCatalogTTL:
     def test_ttl_must_be_positive(self):
         with pytest.raises(ValueError):
             LivePricing(feed="x", ttl_seconds=0)
+
+    def test_nan_ttl_is_rejected(self):
+        """NaN passed a ``<= 0`` check and made every get() stale, so each
+        request started another feed fetch."""
+        with pytest.raises(ValueError, match="ttl_seconds"):
+            LivePricing(feed="x", ttl_seconds=float("nan"))
+        live = LivePricing(feed="fake://feed", ttl_seconds=float("inf"),
+                           clock=FakeClock(), fetch=FakeFeed())
+        assert live.get()[1] is False
+
+    def test_serve_cli_rejects_nan_ttl(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--pricing-ttl", "nan"])
+        assert excinfo.value.code == 2
+        assert "ttl_seconds must be positive" in capsys.readouterr().err
 
     def test_first_touch_fetches_synchronously(self):
         live, feed, _clock = self._catalog()
@@ -624,7 +643,9 @@ class TestServiceWarmPath:
         warm = json.loads(service.plan("spot", body))
         assert warm["engine"]["simulations"] == 0
         assert warm["engine"]["risk_misses"] == 0
-        assert warm["engine"]["risk_hits"] > 0
+        # Served by the plan memo: the repeat never reaches the risk layer.
+        assert warm["engine"]["risk_hits"] == 0
+        assert warm["engine"]["hits"] == 1 and warm["engine"]["misses"] == 0
         assert warm["plan"] == cold["plan"]
 
     def test_unknown_kind_is_404(self):
@@ -705,6 +726,150 @@ class TestServiceLRU:
         assert stats["capacity"] == 1 and stats["evictions"] > 0
 
 
+def _without_engine(response: str) -> str:
+    """A response's text minus its ``engine`` member, cut by position: the
+    member sits between ``pricing_stale`` and ``plan`` at the top level,
+    and no nested line starts with two spaces and a quote."""
+    head, _, rest = response.partition('\n  "engine": ')
+    _, _, tail = rest.partition('\n  "plan": ')
+    assert head and tail, response[:200]
+    return head + '\n  "plan": ' + tail
+
+
+class TestPlanMemo:
+    """A sequential repeat is served from the per-digest plan memo."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spelled_requests())
+    def test_memo_response_equals_a_fresh_computation(self, request):
+        kind, body, _argv = request
+        warm = PlanningService()
+        cold = warm.plan(kind, body)
+        served = warm.plan(kind, body)
+        assert json.loads(served)["engine"]["hits"] == 1
+        fresh = PlanningService().plan(kind, body)
+        assert _without_engine(served) == _without_engine(fresh) == _without_engine(cold)
+        # The spliced text is exactly what dumps(payload, indent=2) gives.
+        assert served == dumps(json.loads(served), indent=2)
+
+    def test_memo_hit_reports_current_pricing_staleness(self):
+        feed, clock = FakeFeed(), FakeClock()
+        pricing = LivePricing(feed="fake://feed", ttl_seconds=60, clock=clock, fetch=feed)
+        service = PlanningService(pricing=pricing)
+        first = service.plan("cluster", dict(MIXTRAL_A40))
+        assert json.loads(first)["pricing_stale"] is False
+        clock.now += 61  # same prices, now past the TTL
+        stale = service.plan("cluster", dict(MIXTRAL_A40))
+        pricing.join_refresh(10)
+        fresh = service.plan("cluster", dict(MIXTRAL_A40))
+        for text, expected in ((stale, True), (fresh, False)):
+            response = json.loads(text)
+            assert response["engine"]["hits"] == 1 and response["engine"]["misses"] == 0
+            assert response["pricing_stale"] is expected
+            assert response["pricing"]["stale"] is expected
+        assert json.loads(stale)["plan"] == json.loads(first)["plan"]
+        assert _without_engine(fresh) == _without_engine(first)
+
+    def test_new_catalog_digest_plans_afresh(self):
+        feed, clock = FakeFeed(), FakeClock()
+        pricing = LivePricing(feed="fake://feed", ttl_seconds=60, clock=clock, fetch=feed)
+        service = PlanningService(pricing=pricing)
+        first = json.loads(service.plan("cluster", dict(MIXTRAL_A40)))
+        payload = DEFAULT_CATALOG.to_payload()
+        for entry in payload["prices"]:
+            entry["dollars_per_hour"] *= 3
+        feed.payload = payload
+        clock.now += 61
+        service.plan("cluster", dict(MIXTRAL_A40))  # stale serve + revalidate
+        pricing.join_refresh(10)
+        repriced = json.loads(service.plan("cluster", dict(MIXTRAL_A40)))
+        assert repriced["pricing"]["digest"] != first["pricing"]["digest"]
+        assert repriced["engine"]["misses"] > 0
+        assert repriced["plan"] != first["plan"]
+        again = json.loads(service.plan("cluster", dict(MIXTRAL_A40)))
+        assert again["engine"]["hits"] == 1 and again["plan"] == repriced["plan"]
+
+    def test_evicted_memo_entry_recomputes_to_the_same_bytes(self):
+        service = PlanningService(capacity=1)
+        sparse = {"model": "mixtral", "gpu": ["a40"], "density": "sparse"}
+        first = service.plan("cluster", sparse)
+        service.plan("cluster", {"model": "mixtral", "gpu": ["a40"], "density": "dense"})
+        again = service.plan("cluster", sparse)
+        engine = json.loads(again)["engine"]
+        assert engine["misses"] > 0 and engine["evictions"] > 0
+        assert _without_engine(again) == _without_engine(first)
+
+    def test_concurrent_traffic_plans_each_digest_once(self):
+        service = PlanningService()
+        plans = []
+        plan_entry = service._plan_entry
+
+        def counted(request, catalog, tracer):
+            plans.append(request)
+            return plan_entry(request, catalog, tracer)
+
+        service._plan_entry = counted
+        bodies = [dict(MIXTRAL_A40, density=density) for density in ("sparse", "dense", "both")]
+        responses = {i: [] for i in range(len(bodies))}
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(12):
+                    i = (offset + step) % len(bodies)
+                    responses[i].append(_without_engine(service.plan("cluster", bodies[i])))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert len(plans) == len(bodies)  # one planning run per digest
+        assert all(len(set(texts)) == 1 and len(texts) == 24 for texts in responses.values())
+
+    def test_traced_warm_repeat_is_one_memo_lookup(self):
+        service = PlanningService(telemetry=True)
+        cold = json.loads(service.plan("spot", dict(MIXTRAL_A40)))
+        warm = json.loads(service.plan("spot", dict(MIXTRAL_A40)))
+
+        def tree(response):
+            spans = response["telemetry"]["spans"]
+            names = {span["id"]: span["name"] for span in spans}
+            return [(span["name"], names.get(span["parent"])) for span in spans]
+
+        assert tree(warm) == [("service.request", None),
+                              ("service.plan_memo", "service.request")]
+        cold_tree = tree(cold)
+        assert cold_tree[:2] == tree(warm)
+        assert len(cold_tree) > 2  # the planner's phases, under the memo span
+        assert [name for name, parent in cold_tree if parent == "service.request"] \
+            == ["service.plan_memo"]
+        grid = cold["telemetry"]["manifest"]["grid_digest"]
+        assert grid is not None
+        assert warm["telemetry"]["manifest"]["grid_digest"] == grid
+
+    def test_untraced_entries_never_serve_a_traced_service(self):
+        """An untraced service memoizes no grid digest; a traced service
+        on the same cache must not read its entry."""
+        cache = SimulationCache()
+        plain = PlanningService(cache=cache).plan("cluster", dict(MIXTRAL_A40))
+        traced = json.loads(PlanningService(cache=cache, telemetry=True)
+                            .plan("cluster", dict(MIXTRAL_A40)))
+        assert traced["engine"]["misses"] == 1 and traced["engine"]["simulations"] == 0
+        assert traced["telemetry"]["manifest"]["grid_digest"] is not None
+        del traced["telemetry"]
+        assert _without_engine(dumps(traced, indent=2)) == _without_engine(plain)
+
+
 class TestServiceStalePricing:
     def test_plans_served_from_stale_catalog_when_feed_is_down(self):
         feed = FakeFeed()
@@ -746,6 +911,25 @@ class TestServiceStalePricing:
 # ---------------------------------------------------------------------------
 # HTTP surface
 # ---------------------------------------------------------------------------
+
+def test_serve_module_runs_once_under_dash_m():
+    """``python -m repro.service.serve`` must not find the module already
+    imported (runpy warns, then executes it a second time)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.service.serve", "--help"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_make_server_stays_importable_from_the_package():
+    import repro.service
+
+    assert repro.service.make_server is make_server
 
 @contextlib.contextmanager
 def running(service):
