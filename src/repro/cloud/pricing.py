@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Version of the JSON interchange layout (:meth:`PriceCatalog.to_payload`).
 #: Bump on any structural change so a feed emitting the old shape is
@@ -51,6 +51,7 @@ class PriceCatalog:
         prices: Iterable[GPUPrice],
         spot_prices: Iterable[GPUPrice] = (),
     ) -> None:
+        self._digest: Optional[str] = None  # digest() memo; add()/add_spot() clear it
         self._prices: Dict[Tuple[str, str], GPUPrice] = {}
         for price in prices:
             self._prices[(price.provider, price.gpu_name)] = price
@@ -95,6 +96,7 @@ class PriceCatalog:
                 f"${spot.dollars_per_hour}/h"
             )
         self._prices[key] = price
+        self._digest = None
 
     # ------------------------------------------------------------------
     # Spot tier
@@ -113,6 +115,7 @@ class PriceCatalog:
                 f"${ondemand.dollars_per_hour}/h"
             )
         self._spot_prices[key] = price
+        self._digest = None
 
     def has_spot(self, gpu_name: str, provider: str = "cudo") -> bool:
         return (provider, gpu_name) in self._spot_prices
@@ -208,9 +211,13 @@ class PriceCatalog:
         """sha256 over the canonical payload JSON — one stable identity
         for "which prices produced this plan", used by the planning
         service's request digest so a price refresh correctly splits
-        otherwise-identical requests into distinct coalescing keys."""
-        text = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        otherwise-identical requests into distinct coalescing keys.
+        Computed once per catalog state: the service asks on every
+        request, and ``add``/``add_spot`` are the only mutators."""
+        if self._digest is None:
+            text = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+            self._digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        return self._digest
 
 
 DEFAULT_CATALOG = PriceCatalog(

@@ -51,6 +51,11 @@ class CacheStats:
     ``evictions`` counts entries dropped by the LRU bound (see
     ``SimulationCache(capacity=...)``); it stays 0 for unbounded caches,
     which is why it defaults rather than being required.
+
+    ``entries`` counts resident traces; ``derived_entries`` counts the
+    resident results of :meth:`SimulationCache.memoize` (Eq. 2 fits,
+    risk bundles, the planning service's plan-memo entries). Each is
+    bounded by ``capacity`` on its own.
     """
 
     hits: int
@@ -60,6 +65,7 @@ class CacheStats:
     risk_hits: int = 0
     risk_misses: int = 0
     evictions: int = 0
+    derived_entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -285,10 +291,12 @@ class SimulationCache:
     def stats(self) -> CacheStats:
         with self._lock:
             entries = len(self._traces)
+            derived_entries = len(self._derived)
         return CacheStats(
             hits=self._hits.value,
             misses=self._misses.value,
             entries=entries,
+            derived_entries=derived_entries,
             simulations=self._simulations.value,
             risk_hits=self._risk_hits.value,
             risk_misses=self._risk_misses.value,

@@ -27,16 +27,21 @@ metrics and the optional telemetry block), so the only thing that
 distinguishes a warm repeat from its cold predecessor is the ``engine``
 delta block — which is exactly what it is for.
 
-Plan memo: a plan is a pure function of what the digest covers, so the
-serialized ``plan`` block is memoized per digest in the shared cache
-(``SimulationCache.memoize``, key ``("plan-response", digest,
-traced)``), zlib-compressed, next to the planner's grid digest for the
-traced manifest. A sequential repeat then skips planning and plan
-serialization: it builds its own head (echo, digest, this request's
-pricing staleness, ``engine`` deltas) and splices the memoized plan text
-in after it, giving the same bytes a fresh computation would. The memo
-shares the cache's LRU bound, single-flight and ``hits``/``misses``
-accounting, so a warm repeat's ``engine`` block reads ``hits: 1``.
+Plan memo: a plan is a pure function of what the digest covers, and
+so is most of its response text. Each digest's memo entry (key
+``("plan-response", digest, traced)`` in the shared cache's
+``SimulationCache.memoize``) holds pre-rendered, uncompressed text: the
+response prefix from ``{`` through the pricing block's ``"stale": ``
+(kind, echo, request digest and catalog digest), the ``plan`` member,
+and the planner's grid digest for the traced manifest. About 5 KB per
+distinct request, bounded by the cache's ``capacity``. A sequential
+repeat then skips planning and serialization: it fills this request's
+pricing staleness and ``engine`` deltas into one fixed template and
+joins the parts, giving the same bytes a fresh computation would. Nothing
+on that path releases the GIL, so a warm repeat takes it once and never
+queues behind a cold plan a second time. The memo shares the cache's LRU
+bound, single-flight and ``hits``/``misses`` accounting, so a warm
+repeat's ``engine`` block reads ``hits: 1``.
 
 The per-request ``engine`` block reports the cache-counter deltas the
 request observed (simulations, hits, ...). Under concurrent *distinct*
@@ -50,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import zlib
 from typing import Callable, Dict, Optional
 
 from ..cluster.request import ClusterPlanRequest, RequestError
@@ -100,6 +104,34 @@ def _member_text(value) -> str:
     nesting (JSON strings hold no raw newlines, so each one is a line
     break)."""
     return dumps(value, indent=2).replace("\n", "\n  ")
+
+
+#: The end of the pricing block after its prefix, plus ``pricing_stale``,
+#: ``engine`` and the ``plan`` key, laid out as ``dumps(..., indent=2)``
+#: lays them out: filled with the two staleness flags and the six
+#: ``engine`` deltas.
+_HEAD_TAIL = (
+    '%s\n  },\n  "pricing_stale": %s,\n  "engine": {\n'
+    '    "simulations": %d,\n    "hits": %d,\n    "misses": %d,\n'
+    '    "risk_hits": %d,\n    "risk_misses": %d,\n    "evictions": %d\n'
+    '  },\n  "plan": '
+)
+
+
+def _head_prefix(kind: str, echo, digest: str, catalog_digest: str) -> str:
+    """The response text from ``{`` through the pricing block's
+    ``"stale": ``: every member before the first per-request value,
+    all of them fixed by the request digest."""
+    head = dumps(
+        {
+            "kind": kind,
+            "request": echo,
+            "request_digest": digest,
+            "pricing": {"digest": catalog_digest, "stale": False},
+        },
+        indent=2,
+    )
+    return head[: -len("false\n  }\n}")]
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +221,31 @@ class PlanningService:
         before = self.cache.stats()
         with tracer.span("service.request", kind=kind, digest=digest[:16]):
             with tracer.span("service.plan_memo"):
-                packed_plan, grid = self.cache.memoize(
+                prefix, plan_text, grid = self.cache.memoize(
                     ("plan-response", digest, self._traced),
-                    lambda: self._plan_entry(request, catalog, tracer),
+                    lambda: (
+                        _head_prefix(kind, echo, digest, catalog_digest),
+                        *self._plan_entry(request, catalog, tracer),
+                    ),
                 )
         after = self.cache.stats()
-        head = {
-            "kind": kind,
-            "request": echo,
-            "request_digest": digest,
-            "pricing": {"digest": catalog_digest, "stale": stale},
-            "pricing_stale": stale,
-            "engine": {
-                "simulations": after.simulations - before.simulations,
-                "hits": after.hits - before.hits,
-                "misses": after.misses - before.misses,
-                "risk_hits": after.risk_hits - before.risk_hits,
-                "risk_misses": after.risk_misses - before.risk_misses,
-                "evictions": after.evictions - before.evictions,
-            },
-        }
+        flag = "true" if stale else "false"
         # The response is dumps(head + plan [+ telemetry], indent=2),
-        # assembled by position: the head's closing "\n}" is cut and the
-        # later members appended, so no echoed value can move a splice.
+        # assembled by position from the memoized prefix, this request's
+        # values in _HEAD_TAIL and the memoized plan text.
         parts = [
-            dumps(head, indent=2)[:-2],
-            ',\n  "plan": ',
-            zlib.decompress(packed_plan).decode("utf-8"),
+            prefix,
+            _HEAD_TAIL % (
+                flag,
+                flag,
+                after.simulations - before.simulations,
+                after.hits - before.hits,
+                after.misses - before.misses,
+                after.risk_hits - before.risk_hits,
+                after.risk_misses - before.risk_misses,
+                after.evictions - before.evictions,
+            ),
+            plan_text,
         ]
         if self._traced:
             telemetry = self._export_telemetry(kind, echo, tracer, after, grid)
@@ -224,15 +254,15 @@ class PlanningService:
         return "".join(parts)
 
     def _plan_entry(self, request, catalog, tracer):
-        """One plan-memo entry: the compressed ``plan`` member text and
-        the swept grid's digest. Only a traced service reads the digest
-        (for the manifest), and at ~2 ms per 48-cell grid an untraced one
-        skips it; the memo key carries ``traced`` so services sharing one
-        cache never read each other's entries."""
+        """The plan half of a plan-memo entry: the ``plan`` member text
+        and the swept grid's digest. Only a traced service reads the
+        digest (for the manifest), and at ~2 ms per 48-cell grid an
+        untraced one skips it; the memo key carries ``traced`` so
+        services sharing one cache never read each other's entries."""
         planner, plan = request.run(cache=self.cache, catalog=catalog, tracer=tracer)
         grid = planner.last_grid
         return (
-            zlib.compress(_member_text(plan.to_payload()).encode("utf-8")),
+            _member_text(plan.to_payload()),
             grid_digest(grid) if self._traced and grid is not None else None,
         )
 
@@ -278,6 +308,7 @@ class PlanningService:
                 "risk_misses": stats.risk_misses,
                 "evictions": stats.evictions,
                 "entries": stats.entries,
+                "derived_entries": stats.derived_entries,
                 "capacity": self.cache.capacity,
             },
             "pricing": self.pricing.status(),

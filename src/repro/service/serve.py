@@ -38,6 +38,10 @@ DEFAULT_PORT = 8423
 
 _PLAN_PATHS = {"/plan/cluster": "cluster", "/plan/spot": "spot"}
 
+#: The largest request body the service reads. A plan request is a few
+#: hundred bytes; a larger declared body is refused before any read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class PlanningRequestHandler(BaseHTTPRequestHandler):
     """Routes the four endpoints onto the bound :class:`PlanningService`."""
@@ -88,7 +92,24 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             self._send_error(
                 400, f"Content-Length must be a non-negative integer, got {declared!r}")
             return
-        raw = self.rfile.read(int(declared))
+        digits = declared.lstrip("0") or "0"
+        # Compared by length first: int() refuses strings past 4300 digits.
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            # Refused unread, so the next request's start is unknown too.
+            self.close_connection = True
+            self._send_error(
+                413, f"Content-Length exceeds the {MAX_BODY_BYTES}-byte limit "
+                     "on request bodies")
+            return
+        length = int(digits)
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            # The client stopped sending early: the body is incomplete.
+            self.close_connection = True
+            self._send_error(
+                400, f"request body ended after {len(raw)} of the {length} "
+                     "bytes its Content-Length declared")
+            return
         kind = _PLAN_PATHS.get(self.path)
         if kind is None:
             self._send_error(404, f"unknown path {self.path!r}")

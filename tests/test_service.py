@@ -36,6 +36,7 @@ from repro.service.app import (
     request_digest,
 )
 from repro.service.serve import main as serve_main, make_server
+from repro.service.serve import MAX_BODY_BYTES
 from repro.spot.plan import main as spot_plan_main
 from repro.telemetry import validate_file
 from repro.telemetry.runstore import RunStore
@@ -208,6 +209,28 @@ class TestCacheLRU:
         stats = CacheStats(hits=1, misses=1, entries=1)
         assert stats.evictions == 0
 
+    def test_derived_entries_count_memoized_results_not_traces(self):
+        cache = SimulationCache()
+        cache.simulate(scenario(1))
+        for key in ("a", "b"):
+            cache.memoize(("derived", key), lambda: key)
+        stats = cache.stats()
+        assert (stats.entries, stats.derived_entries) == (1, 2)
+
+    def test_distinct_requests_show_in_stats_derived_entries(self):
+        """Requests that differ only in their deadline share every trace
+        but each memoizes its own plan: /stats must show the memo."""
+        service = PlanningService()
+        service.plan("cluster", dict(MIXTRAL_A40))
+        before = service.stats_payload()["cache"]
+        deadlines = (12, 48, 96)
+        for hours in deadlines:
+            service.plan("cluster", dict(MIXTRAL_A40, deadline_hours=hours))
+        after = service.stats_payload()["cache"]
+        assert after["derived_entries"] >= before["derived_entries"] + len(deadlines)
+        assert after["entries"] == before["entries"] > 0
+        assert after["simulations"] == before["simulations"]
+
 
 # ---------------------------------------------------------------------------
 # Pricing: payload interchange + TTL catalog
@@ -240,6 +263,24 @@ class TestPricingPayload:
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ValueError):
             PriceCatalog.from_payload(payload)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.sampled_from(("add", "add_spot")),
+        st.sampled_from(("A40", "A100-80GB", "H200")),
+        st.sampled_from(("cudo", "lambda", "acme")),
+        st.sampled_from((0.2, 0.79, 1.5, 4.0)),
+    ), max_size=12))
+    def test_cached_digest_equals_a_fresh_recomputation(self, operations):
+        catalog = PriceCatalog.from_payload(DEFAULT_CATALOG.to_payload())
+        for method, gpu, provider, price in operations:
+            assert catalog.digest() is catalog.digest()  # computed once
+            try:
+                getattr(catalog, method)(GPUPrice(gpu, provider, price))
+            except ValueError:
+                pass  # a refused listing leaves the catalog unchanged
+            fresh = PriceCatalog.from_payload(catalog.to_payload())
+            assert catalog.digest() == fresh.digest()
 
 
 class FakeFeed:
@@ -870,6 +911,61 @@ class TestPlanMemo:
         assert _without_engine(dumps(traced, indent=2)) == _without_engine(plain)
 
 
+@pytest.fixture(scope="module")
+def template_services():
+    """One service per (traced, stale feed, capacity), built on first use
+    and kept across examples, so later examples also see warm repeats."""
+    services = {}
+
+    def get(traced, stale, capacity):
+        key = (traced, stale, capacity)
+        if key not in services:
+            pricing = None
+            if stale:
+                feed = FakeFeed()
+                feed.error = OSError("feed unreachable")
+                pricing = LivePricing(feed="fake://feed", clock=FakeClock(), fetch=feed)
+            services[key] = PlanningService(
+                capacity=capacity, pricing=pricing, telemetry=traced)
+        return services[key]
+
+    return get
+
+
+class TestResponseTemplate:
+    """Every response, cold or served from the memo's pre-rendered text,
+    is exactly ``json.dumps(payload, indent=2)`` of what it parses to."""
+
+    @staticmethod
+    def assert_canonical(raw):
+        assert raw == json.dumps(json.loads(raw), indent=2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spelled_requests(), st.booleans(), st.booleans(), st.sampled_from((None, 1)))
+    def test_every_response_is_indent2_json(self, template_services, request,
+                                           traced, stale, capacity):
+        kind, body, _argv = request
+        service = template_services(traced, stale, capacity)
+        for _ in range(2):  # the second one is a memo hit
+            raw = service.plan(kind, dict(body))
+            self.assert_canonical(raw)
+            response = json.loads(raw)
+            assert response["pricing_stale"] is stale is response["pricing"]["stale"]
+            assert ("telemetry" in response) is traced
+        assert response["engine"]["hits"] == 1
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_multi_digit_engine_deltas_under_capacity_one(self, traced):
+        service = PlanningService(capacity=1, telemetry=traced)
+        body = {"model": "mixtral", "gpu": ["a40", "h100"], "num_gpus": [1, 2]}
+        raw = service.plan("spot", body)
+        self.assert_canonical(raw)
+        engine = json.loads(raw)["engine"]
+        assert engine["evictions"] >= 10 and engine["risk_misses"] >= 10
+        self.assert_canonical(service.plan("spot", body))
+
+
 class TestServiceStalePricing:
     def test_plans_served_from_stale_catalog_when_feed_is_down(self):
         feed = FakeFeed()
@@ -1113,3 +1209,59 @@ class TestHTTP:
         assert b"\r\nConnection: close" in head
         error = json.loads(body)["error"]
         assert "Content-Length" in error and repr(declared) in error
+
+    @staticmethod
+    def _raw_exchange(server, data, half_close=False):
+        """Send ``data`` on a fresh socket and read until the server
+        closes; returns (head, body)."""
+        with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            received = b""
+            # Until the server closes; a reset still means closed.
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        return head, body
+
+    @pytest.mark.parametrize("declared", [
+        str(MAX_BODY_BYTES + 1), "10000000000000", "9" * 5000,
+    ])
+    def test_oversized_body_gets_413_then_close_unread(self, declared):
+        service = PlanningService()
+        with running(service) as server:
+            head, body = self._raw_exchange(server, (
+                f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {declared}\r\n\r\n").encode("ascii"))
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert service.stats_payload()["requests"]["total"] == 0
+
+    def test_short_body_gets_400_then_close(self):
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        service = PlanningService()
+        with running(service) as server:
+            head, body = self._raw_exchange(server, (
+                f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(data) + 10}\r\n\r\n").encode("ascii") + data,
+                half_close=True)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and str(len(data)) in error
+        assert service.stats_payload()["requests"]["total"] == 0  # never planned
+
+    def test_body_at_the_limit_is_planned(self):
+        data = json.dumps(MIXTRAL_A40).ljust(MAX_BODY_BYTES).encode("utf-8")
+        with running(PlanningService()) as server:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=120)
+            try:
+                conn.request("POST", "/plan/cluster", body=data)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["kind"] == "cluster"
+            finally:
+                conn.close()
