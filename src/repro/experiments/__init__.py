@@ -1,9 +1,10 @@
 """Experiment suite (S13): one module per paper table/figure.
 
-Every module exposes ``run(...) -> ExperimentResult``. The mapping to the
-paper's artifacts is recorded in DESIGN.md's per-experiment index; the
-benchmark harness under ``benchmarks/`` executes each of these and prints
-the measured-vs-paper tables collected in EXPERIMENTS.md.
+Every module exposes ``run(...) -> ExperimentResult``. ``ALL_EXPERIMENTS``
+maps each paper artifact's id to its module; ``python -m
+repro.experiments.report`` runs them and prints the measured-vs-paper
+tables, and ``tests/test_experiments.py`` pins each artifact's headline
+claims.
 """
 
 from . import (

@@ -1,9 +1,9 @@
 """Shared result containers for the experiment suite.
 
 Every experiment module exposes ``run(...) -> ExperimentResult`` so that
-benchmarks, examples and EXPERIMENTS.md generation all consume one shape:
-labeled rows of measured values next to the paper's published reference
-values (when the paper prints them).
+the report, the tests and the examples all consume one shape: labeled
+rows of measured values next to the paper's published reference values
+(when the paper prints them).
 """
 
 from __future__ import annotations

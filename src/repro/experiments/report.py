@@ -7,11 +7,11 @@ Usage::
     python -m repro.experiments.report --training  # include Fig. 3 / Fig. 11
     python -m repro.experiments.report --json      # machine-readable output
 
-The text output mirrors EXPERIMENTS.md: one table per artifact with
-measured values next to the paper's published numbers. All simulation
-flows through the shared scenario cache, so a second report pass in the
-same process performs zero redundant ``simulate_step`` calls. The
-sweeps run serially, so the report is deterministic.
+The text output is one table per artifact with measured values next to
+the paper's published numbers. All simulation flows through the shared
+scenario cache, so a second report pass in the same process performs
+zero redundant ``simulate_step`` calls. The sweeps run serially, so the
+report is deterministic.
 
 ``--telemetry``/``--telemetry-out``/``--run-store`` trace the run
 (phase tree, JSONL event log, append-only run store for

@@ -52,7 +52,8 @@ class KindProfile:
 
 
 # Values marked (fitted) were calibrated once against the paper's measured
-# A40/A100/H100 throughput and stage shares (see EXPERIMENTS.md).
+# A40/A100/H100 throughput and stage shares. No code in the repo
+# reproduces that calibration yet.
 KIND_PROFILES: Dict[KernelKind, KindProfile] = {
     KernelKind.MATMUL: KindProfile(
         compute_eff=0.85, mem_eff=0.80, uses_tensor_cores=True, rows_half_sat=448.0  # (fitted)

@@ -9,10 +9,10 @@ all come from the same trace, mirroring how the paper derives its Figs.
 Calibration: GPU kernels explain only part of a measured fine-tuning
 iteration; the PyTorch/LLaMA-Factory host stack adds per-launch and
 per-step overheads that dominate at batch size 1. ``SoftwareOverhead``
-captures this with two constants per model family, fitted once against
-the paper's A40 throughput figures (Fig. 8) and documented in
-EXPERIMENTS.md. The same constants are used for *all* GPUs, batch sizes
-and datasets — nothing else is tuned per experiment.
+captures this with a few constants per model family, fitted once against
+the paper's Fig. 8 and Table IV throughput points; no code in the repo
+reproduces that fit yet. The same constants are used for *all* GPUs,
+batch sizes and datasets — nothing else is tuned per experiment.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class SoftwareOverhead:
     per_token_us: float = 0.0
 
 
-# Fitted once against the paper's Fig. 8 / Table IV throughput points
-# (21 points, log-RMSE 0.19; see EXPERIMENTS.md for the residual table).
+# Fitted once against the paper's Fig. 8 / Table IV throughput points.
+# No code in the repo reproduces that fit yet, so the report's Fig. 8
+# rows score these constants on the points they were fitted to.
 DEFAULT_OVERHEADS: Dict[str, SoftwareOverhead] = {
     "mixtral": SoftwareOverhead(per_step_s=0.033, per_launch_us=8.1, per_token_us=1069.0),
     "blackmamba": SoftwareOverhead(per_step_s=0.045, per_launch_us=114.3, per_token_us=310.3),

@@ -222,6 +222,22 @@ class TestPlannerDeterminismAndReuse:
         assert warm_stats.hits == cold_stats.hits + 8
         assert warm.to_payload() == cold.to_payload()
 
+    def test_default_sweep_shares_each_replica_eightfold(self):
+        """Over the planner's default GPU x density sweep, even the cold
+        pass simulates each replica once for its 4 cluster sizes x 2
+        interconnects, and the warm pass simulates nothing."""
+        cache = SimulationCache()
+        planner = ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache)
+        kwargs = dict(providers=("cudo",), deadline_hours=24.0)
+        cold = planner.plan(**kwargs)
+        cold_stats = cache.stats()
+        assert cold_stats.lookups >= 8 * cold_stats.misses > 0
+        warm = planner.plan(**kwargs)
+        warm_stats = cache.stats()
+        assert warm_stats.misses == cold_stats.misses
+        assert warm_stats.hits > cold_stats.hits
+        assert [c.label for c in warm.frontier] == [c.label for c in cold.frontier]
+
     def test_scaling_a_sweep_does_not_resimulate(self):
         """Scaling a 1-GPU sweep to 8 GPUs reuses the replica traces."""
         cache = SimulationCache()

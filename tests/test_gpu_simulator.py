@@ -4,7 +4,7 @@ qualitative hardware findings must emerge from the model."""
 import pytest
 
 from repro.gpu import A40, GPUSimulator, H100, SoftwareOverhead
-from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
+from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B, param_breakdown
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,24 @@ class TestPaperFindings:
         for cfg in (MIXTRAL_8X7B, BLACKMAMBA_2_8B):
             stages = sim.simulate_step(cfg, 4, 128).stage_seconds()
             assert stages["backward"] > stages["forward"]
+
+    def test_checkpointing_recompute_costs_backward_time(self, sim):
+        """Section IV: checkpointing in Mixtral saves memory but slows the
+        backward stage, which recomputes roughly one extra forward."""
+        with_ck = sim.simulate_step(MIXTRAL_8X7B, 4, 128, dense=False, checkpointing=True)
+        without = sim.simulate_step(MIXTRAL_8X7B, 4, 128, dense=False, checkpointing=False)
+        ratio = with_ck.stage_seconds()["backward"] / without.stage_seconds()["backward"]
+        assert 1.3 < ratio < 2.5
+
+    def test_quantization_trades_step_time_for_memory(self, sim):
+        """NF4 dequant and slower GEMMs cost step time at small and larger
+        batches, but fp16 Mixtral weights do not fit the A40 at all."""
+        for batch in (1, 8):
+            # Both arms train LoRA adapters only; the knob is weight storage.
+            nf4 = sim.simulate_step(MIXTRAL_8X7B, batch, 128, dense=False, quantized=True, lora=True)
+            fp16 = sim.simulate_step(MIXTRAL_8X7B, batch, 128, dense=False, quantized=False, lora=True)
+            assert nf4.total_seconds > fp16.total_seconds, batch
+        assert param_breakdown(MIXTRAL_8X7B).total * 2 / 1e9 > A40.memory_gb
 
     def test_optimizer_share_full_ft_vs_lora(self, sim):
         """Fig. 4: optimizer stage huge for BlackMamba (~53% at bsz 1),

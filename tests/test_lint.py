@@ -6,7 +6,9 @@ atomic-write and unseeded-RNG rules clean *without* baseline help."""
 
 from __future__ import annotations
 
+import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +281,24 @@ class TestRepoTreeClean:
         assert not any(
             "::no-unseeded-rng::" in e or "::atomic-writes::" in e for e in baseline
         )
+
+    def test_ci_tier1_job_installs_every_third_party_import(self):
+        """A clean runner has only what the tier-1 job's ``pip install``
+        line names, so every top-level import under ``src/`` and
+        ``tests/`` that is neither stdlib, ``repro`` nor a test-local
+        module must appear on that line."""
+        lines = (REPO / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+        job = lines[lines.index("  tier1:"):]
+        install = next(line for line in job if "pip install" in line)
+        installed = set(install.split("pip install", 1)[1].split())
+        local = {p.stem for p in (REPO / "tests").rglob("*.py")} | {"repro"}
+        imported = set()
+        for root in ("src", "tests"):
+            for path in (REPO / root).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name.split(".")[0] for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert third_party - installed == set(), install

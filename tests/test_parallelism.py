@@ -394,6 +394,23 @@ class TestPlannerParallelism:
         assert cache.stats().simulations == simulations
         assert warm.to_payload() == cold.to_payload()
 
+    def test_cold_auto_plan_simulates_one_trace_per_tp_degree(self):
+        """Cluster sizes, interconnects and accumulation depths all share
+        one sharded per-device trace per TP degree: the cold auto plan
+        simulates exactly one per degree it prices, and a fixed-degree
+        sweep over new sizes, links and depths afterwards simulates none."""
+        cache = SimulationCache()
+        planner = ClusterPlanner("mixtral-8x7b", dataset="hellaswag", cache=cache)
+        kwargs = dict(gpus=(A40,), providers=("cudo",), densities=(True,))
+        cold = planner.plan(parallelism="auto", **kwargs)
+        degrees = {c.scenario.tensor_parallel for c in cold.candidates}
+        simulations = cache.stats().simulations
+        assert simulations == len(degrees) > 0
+        warm = planner.plan(parallelism="tp", max_tp=max(degrees),
+                            grad_accums=(1, 2, 4), **kwargs)
+        assert cache.stats().simulations == simulations
+        assert warm.candidates
+
     def test_grad_accum_axis_shares_traces(self):
         cache = SimulationCache()
         planner = ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import ClusterScenario
 
-from repro.experiments import fig8_throughput, report, table3_maxbatch
+from repro.experiments import fig8_throughput, report, table3_maxbatch, table4_cost
 from repro.gpu import A40, A100_80, GPUSimulator
 from repro.memory import max_batch_size
 from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
@@ -558,6 +558,22 @@ class TestRegressionAgainstSeed:
 
 
 class TestWarmReport:
+    def test_fig8_and_table4_rerun_simulates_nothing(self):
+        """The two heaviest sweep consumers, rerun on one cache, book only
+        hits on the second pass."""
+        cache = SimulationCache()
+
+        def sweep():
+            fig8_throughput.run(cache=cache)
+            table4_cost.run(cache=cache)
+            return cache.stats()
+
+        cold = sweep()
+        warm = sweep()
+        assert cold.misses > 0
+        assert warm.misses == cold.misses
+        assert warm.hits > cold.hits
+
     def test_second_report_pass_simulates_nothing(self):
         """Acceptance criterion: rerunning the full non-training report in
         one process performs zero redundant simulate_step calls — the miss

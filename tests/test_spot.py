@@ -662,6 +662,21 @@ class TestRiskAdjustedPlanner:
         assert cache.stats().misses == misses
         assert plan.spot_candidates
 
+    def test_ondemand_plan_after_risk_plan_adds_zero_simulations(self):
+        """The converse order: after a cold risk plan over the default GPU
+        sweep, neither a warm risk repeat nor the plain on-demand plan it
+        extends simulates anything — both read the same replica traces."""
+        cache = SimulationCache()
+        kwargs = dict(providers=("cudo",), deadline_hours=24.0)
+        planner = self._planner(cache=cache, checkpoint_minutes=(10.0, 30.0, 60.0))
+        planner.plan_spot(confidence=0.95, **kwargs)
+        simulations = cache.stats().simulations
+        assert simulations > 0
+        planner.plan_spot(confidence=0.95, **kwargs)
+        assert cache.stats().simulations == simulations
+        ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache).plan(**kwargs)
+        assert cache.stats().simulations == simulations
+
     def test_mc_distribution_is_candidate_deterministic(self):
         a = self._plan()
         b = self._plan()
