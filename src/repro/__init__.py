@@ -8,12 +8,14 @@ contribution, the analytical fine-tuning cost model in :mod:`repro.core`.
 
 Quickstart::
 
-    from repro.core import FineTuningCostModel
+    from repro.core import FineTuningCostModel, dataset_num_queries
     from repro.gpu import GPU_REGISTRY
     from repro.models import MIXTRAL_8X7B
 
-    model = FineTuningCostModel.calibrated(MIXTRAL_8X7B, dataset="math14k")
-    estimate = model.estimate(gpu=GPU_REGISTRY["H100-80GB"], epochs=10)
+    model = FineTuningCostModel.for_dataset(MIXTRAL_8X7B, "math14k")
+    estimate = model.estimate(
+        GPU_REGISTRY["H100-80GB"], dataset_num_queries("math14k"), epochs=10
+    )
     print(estimate.dollars, estimate.hours)
 """
 

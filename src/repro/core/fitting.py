@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from ..gpu.simulator import GPUSimulator
 from ..gpu.specs import GPUSpec
 from ..memory.estimator import max_batch_size
 from ..models.config import BlackMambaConfig, MixtralConfig
@@ -71,7 +70,6 @@ def collect_throughput_observations(
     seq_len: int,
     dense: bool,
     batch_sizes: Optional[Sequence[int]] = None,
-    simulator: Optional[GPUSimulator] = None,
     cache: Optional[SimulationCache] = None,
 ) -> List[ThroughputObservation]:
     """Sweep batch sizes through the scenario engine, as the paper sweeps
@@ -80,7 +78,7 @@ def collect_throughput_observations(
     Default batch sizes run from 1 to the memory-limited maximum for the
     configuration, which is what both Fig. 14's ground-truth dots and the
     fitting procedure use. The sweep goes through the (shared) simulation
-    cache unless an explicit ``simulator`` bypasses it.
+    cache.
     """
     if batch_sizes is None:
         grid = ScenarioGrid.batch_sweep(cfg, gpu, seq_len=seq_len, dense=dense)
@@ -89,15 +87,4 @@ def collect_throughput_observations(
             Scenario(model=cfg, gpu=gpu, batch_size=b, seq_len=seq_len, dense=dense)
             for b in batch_sizes
         )
-    if simulator is not None:
-        # Uncached escape hatch for callers probing a custom simulator;
-        # same grid (and batch-range policy), no memoization.
-        return [
-            ThroughputObservation(
-                batch_size=s.batch_size,
-                sparsity=s.sparsity,
-                throughput_qps=simulator.throughput(cfg, s.batch_size, seq_len, dense=dense),
-            )
-            for s in grid
-        ]
     return observations_from_sweep(SweepRunner(cache=cache).run(grid))

@@ -576,46 +576,66 @@ HIGH_LAYERS = (
     "repro.service",
 )
 
+#: What the scenario engine must never depend on: the experiments,
+#: planners and service that run their sweeps through it.
+SCENARIO_CONSUMERS = (
+    "repro.experiments",
+    "repro.cluster",
+    "repro.spot",
+    "repro.service",
+)
+
+#: (low, high, why): no module under a ``low`` prefix imports one under
+#: a ``high`` prefix.
+LAYER_PAIRS = (
+    (LOW_LAYERS, HIGH_LAYERS,
+     "substrates must stay importable without telemetry/experiments/CLI layers"),
+    (("repro.scenarios",), SCENARIO_CONSUMERS,
+     "the scenario engine must stay importable without the experiments, "
+     "planners and service built on it"),
+)
+
 
 @rule
 class ImportLayering(Rule):
     id = "import-layering"
-    summary = "substrate layers never import telemetry/experiments/CLIs"
+    summary = "lower layers never import the layers built on them"
     rationale = (
         "The dependency direction the subsystems already follow: "
         "core/gpu/nn (and the other substrates) are leaf libraries that "
-        "the scenario engine, planners and telemetry build on. A "
-        "substrate module importing repro.telemetry or an experiment/"
-        "CLI module inverts the layering, drags observability into "
-        "every consumer, and invites the import cycles the engine's "
-        "lazy preset imports were built to avoid."
+        "the scenario engine, planners and telemetry build on, and the "
+        "scenario engine in turn sits under the experiments, the cluster "
+        "and spot planners and the service. A substrate importing "
+        "repro.telemetry or an experiment/CLI module, or the engine "
+        "importing one of its consumers (even inside a function), inverts "
+        "the layering, drags the upper layer into every consumer of the "
+        "lower one, and invites import cycles."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not _module_in(ctx.module, LOW_LAYERS):
-            return []
-        imports = ImportMap(ctx)
         findings = []
-        # One finding per import statement: ``from repro.telemetry import
-        # Tracer`` resolves to both the module and the bound name — keep
-        # the shortest matching target per node.
-        per_node: Dict[Tuple[int, str], Tuple[str, ast.AST]] = {}
-        for target, node in imports.imported_modules(ctx):
-            if not _module_in(target, HIGH_LAYERS):
+        for low, high, why in LAYER_PAIRS:
+            if not _module_in(ctx.module, low):
                 continue
-            key = (id(node), ".".join(target.split(".")[:2]))
-            held = per_node.get(key)
-            if held is None or len(target) < len(held[0]):
-                per_node[key] = (target, node)
-        layer = next(p for p in LOW_LAYERS if _module_in(ctx.module, (p,)))
-        for target, node in per_node.values():
-            findings.append(
-                ctx.finding(
-                    node,
-                    self.id,
-                    f"layer violation: {ctx.module} (substrate {layer}) "
-                    f"imports {target} — substrates must stay importable "
-                    "without telemetry/experiments/CLI layers",
+            # One finding per import statement: ``from repro.telemetry
+            # import Tracer`` resolves to both the module and the bound
+            # name — keep the shortest matching target per node.
+            per_node: Dict[Tuple[int, str], Tuple[str, ast.AST]] = {}
+            for target, node in ImportMap(ctx).imported_modules(ctx):
+                if not _module_in(target, high):
+                    continue
+                key = (id(node), ".".join(target.split(".")[:2]))
+                held = per_node.get(key)
+                if held is None or len(target) < len(held[0]):
+                    per_node[key] = (target, node)
+            layer = next(p for p in low if _module_in(ctx.module, (p,)))
+            for target, node in per_node.values():
+                findings.append(
+                    ctx.finding(
+                        node,
+                        self.id,
+                        f"layer violation: {ctx.module} ({layer}) imports "
+                        f"{target} — {why}",
+                    )
                 )
-            )
         return findings

@@ -11,7 +11,7 @@ from typing import Dict
 
 from ..gpu import A40
 from ..models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-from ..scenarios import ScenarioGrid, SimulationCache, SweepRunner, register_preset
+from ..scenarios import ScenarioGrid, SimulationCache, SweepRunner
 from .common import ExperimentResult
 
 # Paper values read off Fig. 8 (queries/second).
@@ -58,9 +58,6 @@ def grid(gpu=A40) -> ScenarioGrid:
         missing = sorted(set(PAPER) - set(result.labels()))
         raise ValueError(f"PAPER cells missing from the fig8 grid axes: {missing}")
     return result
-
-
-register_preset("fig8", grid, overwrite=True)  # idempotent across reloads
 
 
 def run(gpu=A40, cache: SimulationCache | None = None) -> ExperimentResult:

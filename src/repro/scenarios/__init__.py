@@ -7,16 +7,19 @@ sweep a first-class object:
 * :class:`Scenario` — a frozen, hashable point of the (model, dataset,
   GPU, density, batch, seq_len, overrides) space;
 * :class:`ScenarioGrid` — declarative enumeration (cartesian products,
-  batch sweeps, filters, named presets);
+  batch sweeps, filters);
 * :class:`SimulationCache` — thread-safe, in-memory ``simulate_step``
   traces keyed by scenario, with hit/miss accounting and an optional
   LRU bound;
-* :class:`SweepRunner` — serial, deterministic grid execution feeding
-  experiment results.
+* :class:`SweepRunner` — serial, deterministic grid execution into
+  :class:`SweepPoint` results.
 
-Every experiment, the Eq. 2 fitting helpers and the cost model run their
-sweeps through this engine, so one process simulates each distinct point
-exactly once no matter how many consumers ask for it.
+Every experiment, the Eq. 2 fitting helpers, the cost model and the
+planners run their sweeps through this engine, so one process simulates
+each distinct point exactly once no matter how many consumers ask for
+it. The engine sits below its consumers: it imports none of
+``repro.experiments``, ``repro.cluster``, ``repro.spot`` or
+``repro.service`` (the ``import-layering`` lint rule holds it there).
 """
 
 from .cache import (
@@ -26,7 +29,7 @@ from .cache import (
     reset_default_cache,
     resolve_cache,
 )
-from .grid import ScenarioGrid, preset, preset_names, register_preset
+from .grid import ScenarioGrid
 from .runner import SweepPoint, SweepRunner
 from .scenario import Scenario, canonical_value, freeze_overrides
 from .singleflight import InFlightMap, SingleFlight
@@ -43,9 +46,6 @@ __all__ = [
     "canonical_value",
     "default_cache",
     "freeze_overrides",
-    "preset",
-    "preset_names",
-    "register_preset",
     "reset_default_cache",
     "resolve_cache",
 ]

@@ -167,32 +167,16 @@ class Scenario:
         cross-process identity, hashed into a run manifest's grid digest."""
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
-    def label(self, include_gpu: bool = False, include_seq_len: bool = False) -> str:
+    def label(self, include_gpu: bool = False) -> str:
         """Row label in the experiment suite's convention, e.g.
-        ``mixtral_commonsense15k_S2``. ``include_gpu`` / ``include_seq_len``
-        append those axes, which grids that sweep them need for unique
-        labels."""
+        ``mixtral_commonsense15k_S2``. ``include_gpu`` appends the GPU,
+        which labels spanning several GPUs need to stay unique."""
         parts = [self.config.family]
         if self.dataset:
             parts.append(self.dataset)
         parts.append(self.density_tag)
-        if include_seq_len:
-            parts.append(f"L{self.resolved_seq_len}")
         if include_gpu:
             parts.append(self.gpu_spec.name)
-        return "_".join(parts)
-
-    def qualified_label(self) -> str:
-        """A fully qualified label spelling out every axis (model name
-        rather than family, seq_len, GPU, overrides). Distinct scenarios
-        always get distinct qualified labels."""
-        parts = [self.config.name]
-        if self.dataset:
-            parts.append(self.dataset)
-        parts.append(self.density_tag)
-        parts.append(f"L{self.resolved_seq_len}")
-        parts.append(self.gpu_spec.name)
-        parts.extend(f"{key}={value}" for key, value in self.overrides)
         return "_".join(parts)
 
     # ------------------------------------------------------------------

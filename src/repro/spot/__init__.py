@@ -23,11 +23,12 @@ package layers an explicit risk model on the cluster planner:
 * ``python -m repro.spot.plan`` — the risk-adjusted "what will this
   fine-tune cost?" CLI, mirroring ``repro.cluster.plan``.
 
-The risk layer is pure post-processing over cached replica traces:
-sweeping spot markets and checkpoint cadences adds zero simulations.
+The risk layer is pure post-processing over cached replica traces. The
+planner picks each candidate's checkpoint cadence itself (Daly's optimum,
+or the best entry of a ``checkpoint_minutes`` menu), so sweeping spot
+markets and cadences adds zero simulations.
 """
 
-from ..scenarios import ScenarioGrid, register_preset
 from .checkpoint import (
     CheckpointPolicy,
     DEFAULT_INTERVAL_MINUTES,
@@ -60,7 +61,6 @@ from .risk import (
     expected_preemptions,
     segment_lengths,
 )
-from .scenario import SpotScenario, spot_product
 
 __all__ = [
     "AnalyticMakespanDistribution",
@@ -78,7 +78,6 @@ __all__ = [
     "SpotCandidate",
     "SpotMarket",
     "SpotPlan",
-    "SpotScenario",
     "SpotSimulator",
     "checkpoint_state_gb",
     "expected_makespan_hours",
@@ -88,29 +87,4 @@ __all__ = [
     "restart_state_gb",
     "risk_pareto_frontier",
     "segment_lengths",
-    "spot_product",
 ]
-
-
-def _spot_scaling_grid() -> ScenarioGrid:
-    """The risk sweep's default grid: the ``cluster-scaling`` axes
-    (Mixtral QLoRA vs BlackMamba full fine-tuning on the A40, both
-    interconnects, 1-8 GPUs) crossed with three checkpoint cadences.
-    Every cadence shares its cluster point's replica trace, so this grid
-    simulates no more than ``cluster-scaling`` does."""
-    from ..cluster.planner import DEFAULT_INTERCONNECTS, DEFAULT_NUM_GPUS
-    from ..models.config import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-
-    return spot_product(
-        models=(MIXTRAL_8X7B, BLACKMAMBA_2_8B),
-        gpus=("A40",),
-        batch_sizes=(4,),
-        seq_lens=(128,),
-        num_gpus=DEFAULT_NUM_GPUS,
-        interconnects=DEFAULT_INTERCONNECTS,
-        checkpoint_minutes=(10.0, 30.0, 60.0),
-    )
-
-
-# Idempotent across reloads, like the cluster preset.
-register_preset("spot-scaling", _spot_scaling_grid, overwrite=True)

@@ -7,13 +7,12 @@ import pytest
 from repro.cluster import (
     ClusterPlanner,
     ClusterScenario,
-    cluster_product,
     pareto_frontier,
 )
 from repro.cluster.plan import main as plan_main, resolve_gpu_name, resolve_model_key
 from repro.gpu import A40, DataParallelSimulator, H100, NVLINK, PCIE_GEN4
 from repro.models import MIXTRAL_8X7B
-from repro.scenarios import Scenario, SimulationCache, preset
+from repro.scenarios import Scenario, SimulationCache
 
 
 def scenario(n=1, link="nvlink", batch=4, **kw):
@@ -56,7 +55,6 @@ class TestClusterScenario:
         s = scenario(n=8)
         assert s.label().endswith("_x8_NVLink")
         assert s.label(include_gpu=True) == "mixtral_S4_A40_x8_NVLink"
-        assert "_x8_NVLink" in s.qualified_label()
 
     def test_invalid_num_gpus(self):
         with pytest.raises(ValueError):
@@ -100,24 +98,6 @@ class TestClusterTraceSharing:
             MIXTRAL_8X7B, 4, 128, num_gpus=4
         )
         assert estimate == reference
-
-
-class TestClusterProduct:
-    def test_replica_axes_outermost(self):
-        grid = cluster_product(
-            models=(MIXTRAL_8X7B,), gpus=("A40",), batch_sizes=(1, 2),
-            seq_lens=(128,), num_gpus=(1, 2), interconnects=("nvlink",),
-        )
-        assert [(s.batch_size, s.num_gpus) for s in grid] == [
-            (1, 1), (1, 2), (2, 1), (2, 2)
-        ]
-
-    def test_preset_registered(self):
-        grid = preset("cluster-scaling")
-        assert len(grid) == 16
-        assert all(isinstance(s, ClusterScenario) for s in grid)
-        families = {s.config.family for s in grid}
-        assert families == {"mixtral", "blackmamba"}
 
 
 class TestParetoFrontier:

@@ -65,6 +65,7 @@ class TestRulesFire:
         ("lock_bad.py", "lock-discipline", 1),
         ("src/repro/telemetry/atomic_bad.py", "atomic-writes", 1),
         ("src/repro/nn/layering_bad.py", "import-layering", 2),
+        ("src/repro/scenarios/layering_bad.py", "import-layering", 2),
     ]
 
     QUIET = [
@@ -74,6 +75,7 @@ class TestRulesFire:
         "lock_ok.py",
         "src/repro/telemetry/atomic_ok.py",
         "src/repro/nn/layering_ok.py",
+        "src/repro/scenarios/layering_ok.py",
         "src/repro/telemetry/wallclock_allowed.py",
         "src/repro/service/wallclock_allowed.py",
         "unscoped_write_ok.py",

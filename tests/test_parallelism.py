@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterPlanner, ClusterScenario, cluster_product
+from repro.cluster import ClusterPlanner, ClusterScenario
 from repro.cluster.plan import main as plan_main
 from repro.gpu import (
     A40,
@@ -27,7 +27,7 @@ from repro.gpu import (
 )
 from repro.memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size, memory_breakdown
 from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-from repro.scenarios import Scenario, SimulationCache, preset
+from repro.scenarios import Scenario, SimulationCache
 from repro.spot import RiskAdjustedPlanner, optimal_interval_minutes
 from repro.spot.checkpoint import CheckpointPolicy, checkpoint_state_gb, restart_state_gb
 
@@ -282,30 +282,13 @@ class TestScenarioStrategyAxis:
             self.scenario(strategy="tp4").label(include_gpu=True)
             == "mixtral_S4_A40_x8_tp4_NVLink"
         )
-        assert "tp4-ga2" in self.scenario(strategy="tp4-ga2").qualified_label()
+        assert self.scenario(strategy="tp4-ga2").label() == "mixtral_S4_x8_tp4-ga2_NVLink"
 
     def test_estimate_uses_the_strategy(self):
         cache = SimulationCache()
         estimate = self.scenario(strategy="tp4").estimate(cache)
         assert estimate.tensor_parallel == 4
         assert estimate.data_parallel == 2
-
-    def test_cluster_product_strategy_axis_skips_impossible_sizes(self):
-        grid = cluster_product(
-            models=(MIXTRAL_8X7B,), gpus=("A40",), batch_sizes=(1,),
-            seq_lens=(128,), num_gpus=(1, 2, 4), strategies=("dp", "tp4"),
-        )
-        combos = [(s.strategy_spec.spec(), s.num_gpus) for s in grid]
-        assert combos == [("dp", 1), ("dp", 2), ("dp", 4), ("tp4", 4)]
-
-    def test_tensor_parallel_scaling_preset(self):
-        grid = preset("tensor-parallel-scaling")
-        assert len(grid) > 0
-        assert all(s.tensor_parallel >= 2 for s in grid)
-        assert all(s.strategy_spec.fits(s.num_gpus) for s in grid)
-        # One sharded trace per TP degree serves the whole preset.
-        assert len({s.key() for s in grid}) == len({s.tensor_parallel for s in grid})
-
 
 class TestPlannerParallelism:
     def test_dp_plan_byte_identical_to_pre_refactor_golden(self, capsys):

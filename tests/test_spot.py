@@ -10,7 +10,7 @@ from repro.cluster import ClusterPlanner
 from repro.gpu import A40, H100
 from repro.models import MIXTRAL_8X7B
 from repro.models.config import BLACKMAMBA_2_8B
-from repro.scenarios import SimulationCache, preset, preset_names
+from repro.scenarios import SimulationCache
 from repro.spot import (
     AnalyticMakespanDistribution,
     CheckpointPolicy,
@@ -18,7 +18,6 @@ from repro.spot import (
     RiskAdjustedPlanner,
     SPOT,
     SpotMarket,
-    SpotScenario,
     SpotSimulator,
     checkpoint_state_gb,
     expected_makespan_hours,
@@ -26,7 +25,6 @@ from repro.spot import (
     get_spot_market,
     restart_state_gb,
     segment_lengths,
-    spot_product,
 )
 from repro.spot.plan import main as plan_main
 
@@ -443,57 +441,6 @@ class TestAnalyticMakespanDistribution:
             ana.percentile(0.0)
         with pytest.raises(ValueError):
             ana.percentile(1.5)
-
-
-class TestSpotScenarioAndPreset:
-    def scenario(self, minutes=30.0, n=4, link="nvlink"):
-        return SpotScenario(
-            model=MIXTRAL_8X7B, gpu="A40", batch_size=4, seq_len=128,
-            num_gpus=n, interconnect=link, checkpoint_minutes=minutes,
-        )
-
-    def test_cadence_axis_excluded_from_trace_key(self):
-        """All cadences of one cluster point share one cached trace."""
-        keys = {self.scenario(minutes=m).key() for m in (10.0, 30.0, 60.0)}
-        assert len(keys) == 1
-        cluster_keys = {self.scenario(minutes=m).cluster_key() for m in (10.0, 30.0)}
-        assert len(cluster_keys) == 1
-        spot_keys = {self.scenario(minutes=m).spot_key() for m in (10.0, 30.0)}
-        assert len(spot_keys) == 2
-
-    def test_labels_carry_the_cadence(self):
-        s = self.scenario(minutes=15.0, n=8)
-        assert s.label().endswith("_x8_NVLink_ck15m")
-        assert "_ck15m" in s.qualified_label()
-
-    def test_invalid_cadence(self):
-        with pytest.raises(ValueError):
-            self.scenario(minutes=0.0)
-
-    def test_spot_scaling_preset_round_trip(self):
-        assert "spot-scaling" in preset_names()
-        grid = preset("spot-scaling")
-        assert len(grid) == 48  # cluster-scaling's 16 cells x 3 cadences
-        assert all(isinstance(s, SpotScenario) for s in grid)
-        # Round trip: rebuilding the preset yields the identical grid.
-        assert preset("spot-scaling") == grid
-        # The cadence axis adds no replica traces over cluster-scaling.
-        assert {s.key() for s in grid} == {s.key() for s in preset("cluster-scaling")}
-
-    def test_preset_simulates_nothing_beyond_cluster_scaling(self):
-        cache = SimulationCache()
-        for s in preset("spot-scaling"):
-            cache.simulate(s)
-        assert cache.stats().misses == len({s.key() for s in preset("spot-scaling")})
-
-    def test_spot_product_cadence_innermost(self):
-        grid = spot_product(
-            models=(MIXTRAL_8X7B,), gpus=("A40",), seq_lens=(128,),
-            num_gpus=(1, 2), checkpoint_minutes=(10.0, 30.0),
-        )
-        assert [(s.num_gpus, s.checkpoint_minutes) for s in grid] == [
-            (1, 10.0), (1, 30.0), (2, 10.0), (2, 30.0)
-        ]
 
 
 class TestRiskAdjustedPlanner:
