@@ -53,7 +53,8 @@ def run_cli(request_type: Type[ClusterPlanRequest], parser: argparse.ArgumentPar
     begin_telemetry(args)
     planner, plan = request.run()
     block = finish_telemetry(
-        args, request_type.command, planner.cache, grid=planner.last_grid
+        args, request_type.command, planner.cache,
+        grid=lambda: planner.last_sweep.grid_digest,
     )
     if args.as_json:
         payload = plan.to_payload()

@@ -16,6 +16,12 @@ catalog, and returns
   configurations where going faster necessarily costs more;
 * the cheapest and fastest configurations meeting the target.
 
+A plan is two steps. The sweep (grid, skip reasons, priced candidates
+in order, frontier) does not depend on the target, so it is memoized in
+the shared :class:`SimulationCache` as one derived result; the
+selection (feasible set and picks) runs per call. A what-if re-plan
+with another deadline or budget reuses the sweep.
+
 Determinism: the trace sweep is serial, candidate construction is pure
 and ordering is by explicit sort keys, so equal inputs give equal plans.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cloud.pricing import DEFAULT_CATALOG, PriceCatalog
 from ..core.cost import dataset_num_queries, wall_clock_hours
@@ -261,6 +267,28 @@ class ClusterPlan:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class ClusterSweep:
+    """The target-free half of a cluster plan, memoized per sweep key
+    (see :meth:`ClusterPlanner.sweep`): the swept grid, its skip
+    reasons, the priced candidates in ``(hours, dollars, label)`` order
+    and their Pareto frontier. Immutable; each plan gets fresh lists."""
+
+    grid: ScenarioGrid
+    skipped: Tuple[str, ...]
+    candidates: Tuple[ClusterCandidate, ...]
+    frontier: Tuple[ClusterCandidate, ...]
+
+    @cached_property
+    def grid_digest(self) -> Optional[str]:
+        """The run manifest's digest of the swept grid, computed on the
+        first read (~2 ms per 48 cells), so untraced callers never pay
+        for it and traced ones pay once per sweep."""
+        from ..telemetry.manifest import grid_digest
+
+        return grid_digest(self.grid)
+
+
 class ClusterPlanner:
     """Sweeps the cluster space through the scenario engine and prices it.
 
@@ -268,7 +296,9 @@ class ClusterPlanner:
     padded sequence length and query count unless overridden. All
     simulation flows through the (shared) :class:`SimulationCache`, so a
     warm planner pass — and every cluster size beyond the first within a
-    cold pass — performs zero redundant ``simulate_step`` calls.
+    cold pass — performs zero redundant ``simulate_step`` calls; the
+    sweep itself is memoized there too, so a re-plan with another
+    target performs no trace lookups at all.
     """
 
     def __init__(
@@ -302,9 +332,9 @@ class ClusterPlanner:
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         self.cache = resolve_cache(cache)
         self.tracer = resolve_tracer(tracer)
-        # The most recent plan's swept grid, kept for run manifests
-        # (telemetry computes its digest only when a flag asks for it).
-        self.last_grid: Optional[ScenarioGrid] = None
+        # The most recent plan's sweep, kept for run manifests (its grid
+        # digest is computed only when a traced caller reads it).
+        self.last_sweep: Optional[ClusterSweep] = None
 
     # ------------------------------------------------------------------
     def _resolve_gpus(
@@ -463,6 +493,149 @@ class ClusterPlanner:
                     )
         return ScenarioGrid(scenarios), skipped
 
+    def _sweep_request(
+        self,
+        gpus: Optional[Sequence[Union[str, GPUSpec]]] = None,
+        providers: Optional[Sequence[str]] = None,
+        num_gpus: Sequence[int] = DEFAULT_NUM_GPUS,
+        interconnects: Sequence[Union[str, Interconnect]] = DEFAULT_INTERCONNECTS,
+        densities: Sequence[bool] = (False, True),
+        batch_sizes: Optional[Sequence[int]] = None,
+        parallelism: str = "dp",
+        max_tp: int = DEFAULT_MAX_TP,
+        grad_accums: Sequence[int] = (1,),
+    ) -> Tuple[Tuple, List[str], Callable[[], ClusterSweep]]:
+        """``(memo key, resolved providers, compute)`` for one sweep.
+
+        The key holds every input that shapes the sweep: the planner's
+        model, dataset, sequence length, query count and epochs, the
+        catalog digest (the sweep holds prices), the resolved providers
+        and GPUs, and every axis. Deadlines and budgets are not inputs.
+        """
+        providers = (
+            list(dict.fromkeys(providers)) if providers is not None
+            else self.catalog.providers()
+        )
+        resolved_gpus = tuple(self._resolve_gpus(gpus, providers))
+        axes = dict(
+            num_gpus=tuple(num_gpus),
+            interconnects=tuple(get_interconnect(link) for link in interconnects),
+            densities=tuple(densities),
+            batch_sizes=None if batch_sizes is None else tuple(batch_sizes),
+            parallelism=parallelism,
+            max_tp=max_tp,
+            grad_accums=tuple(grad_accums),
+        )
+        key = (
+            "cluster-sweep",
+            self.cfg,
+            self.dataset,
+            self.seq_len,
+            self.num_queries,
+            self.epochs,
+            self.catalog.digest(),
+            tuple(providers),
+            resolved_gpus,
+            *axes.values(),
+        )
+        return key, providers, lambda: self._run_sweep(resolved_gpus, providers, **axes)
+
+    def sweep(self, **axes) -> ClusterSweep:
+        """The memoized, target-free half of :meth:`plan` for the given
+        axis arguments (``gpus``, ``providers``, ``num_gpus``, ...): one
+        shared-cache lookup, counted as a derived hit or miss."""
+        key, _, compute = self._sweep_request(**axes)
+        sweep = self.cache.memoize(key, compute)
+        self.last_sweep = sweep
+        return sweep
+
+    def _run_sweep(
+        self, gpus: Sequence[GPUSpec], providers: Sequence[str], **axes
+    ) -> ClusterSweep:
+        """Enumerate, simulate, apply each strategy, price, then order the
+        candidates and take their frontier, one span per phase."""
+        tracer = self.tracer
+        with tracer.span("planner.enumerate") as sp:
+            grid, skipped = self.scenarios(gpus=gpus, providers=providers, **axes)
+            sp.attributes["cells"] = len(grid)
+            sp.attributes["skipped"] = len(skipped)
+        with tracer.span("planner.simulate"):
+            points = SweepRunner(cache=self.cache, tracer=tracer).run(grid)
+        with tracer.span("planner.strategy"):
+            estimates = []
+            for point in points:
+                scenario = point.scenario
+                assert isinstance(scenario, ClusterScenario)
+                estimates.append(
+                    estimate_from_trace(
+                        scenario.config,
+                        point.trace,
+                        scenario.num_gpus,
+                        scenario.interconnect_spec,
+                        strategy=scenario.strategy_spec,
+                    )
+                )
+        with tracer.span("planner.price") as sp:
+            candidates: List[ClusterCandidate] = []
+            for point, estimate in zip(points, estimates):
+                scenario = point.scenario
+                priced = set(self.catalog.providers_for(scenario.gpu_spec.name))
+                for provider in providers:
+                    if provider not in priced:
+                        continue  # this provider does not rent this GPU
+                    rate = self.catalog.dollars_per_hour(
+                        scenario.gpu_spec.name, provider
+                    )
+                    candidates.append(
+                        ClusterCandidate(
+                            scenario=scenario,
+                            provider=provider,
+                            dollars_per_gpu_hour=rate,
+                            estimate=estimate,
+                            num_queries=self.num_queries,
+                            epochs=self.epochs,
+                        )
+                    )
+            sp.attributes["candidates"] = len(candidates)
+        with tracer.span("planner.pareto") as sp:
+            candidates.sort(key=ClusterCandidate.sort_key)
+            frontier = pareto_frontier(candidates)
+            sp.attributes["frontier"] = len(frontier)
+        return ClusterSweep(
+            grid=grid,
+            skipped=tuple(skipped),
+            candidates=tuple(candidates),
+            frontier=tuple(frontier),
+        )
+
+    def _select(
+        self,
+        sweep: ClusterSweep,
+        deadline_hours: Optional[float],
+        budget_dollars: Optional[float],
+    ) -> ClusterPlan:
+        """The per-call half of a plan: the feasible set and the picks
+        against this target, over fresh lists of the sweep's rows."""
+        feasible = [c for c in sweep.candidates if c.meets(deadline_hours, budget_dollars)]
+        return ClusterPlan(
+            model_name=self.cfg.name,
+            dataset=self.dataset,
+            seq_len=self.seq_len,
+            num_queries=self.num_queries,
+            epochs=self.epochs,
+            deadline_hours=deadline_hours,
+            budget_dollars=budget_dollars,
+            candidates=list(sweep.candidates),
+            frontier=list(sweep.frontier),
+            cheapest=min(
+                feasible, key=lambda c: (c.dollars, c.hours, c.label), default=None
+            ),
+            fastest=min(
+                feasible, key=lambda c: (c.hours, c.dollars, c.label), default=None
+            ),
+            skipped=list(sweep.skipped),
+        )
+
     def plan(
         self,
         gpus: Optional[Sequence[Union[str, GPUSpec]]] = None,
@@ -479,95 +652,33 @@ class ClusterPlanner:
     ) -> ClusterPlan:
         """Sweep, price, and rank the full cluster space.
 
-        Traced as a ``planner.plan`` span with one child per phase —
-        enumerate (grid construction), simulate (the trace sweep),
-        strategy (applying the parallelism model to each trace), price
-        (provider rates), pareto (ordering, frontier, picks) — so a
-        ``--telemetry`` run shows exactly where a plan's time went.
+        A plan is a memoized sweep (:meth:`sweep`: grid, skip reasons,
+        priced candidates in ``(hours, dollars, label)`` order and the
+        frontier, none of which depends on the target) plus a per-call
+        selection of the feasible set and the cheapest/fastest picks. A
+        re-plan of the same sweep with another deadline or budget makes
+        one cache lookup and no trace lookups.
+
+        Traced as a ``planner.plan`` span. When the sweep runs, its
+        phases are children: enumerate (grid construction), simulate
+        (the trace sweep), strategy (applying the parallelism model to
+        each trace), price (provider rates), pareto (ordering and
+        frontier). ``planner.select`` (feasible set and picks) runs on
+        every call.
         """
-        tracer = self.tracer
-        providers = (
-            list(dict.fromkeys(providers)) if providers is not None
-            else self.catalog.providers()
-        )
-        with tracer.span("planner.plan", model=self.cfg.name):
-            with tracer.span("planner.enumerate") as sp:
-                grid, skipped = self.scenarios(
-                    gpus=gpus,
-                    providers=providers,
-                    num_gpus=num_gpus,
-                    interconnects=interconnects,
-                    densities=densities,
-                    batch_sizes=batch_sizes,
-                    parallelism=parallelism,
-                    max_tp=max_tp,
-                    grad_accums=grad_accums,
-                )
-                sp.attributes["cells"] = len(grid)
-                sp.attributes["skipped"] = len(skipped)
-            self.last_grid = grid
-            with tracer.span("planner.simulate"):
-                points = SweepRunner(cache=self.cache, tracer=tracer).run(grid)
-            with tracer.span("planner.strategy"):
-                estimates = []
-                for point in points:
-                    scenario = point.scenario
-                    assert isinstance(scenario, ClusterScenario)
-                    estimates.append(
-                        estimate_from_trace(
-                            scenario.config,
-                            point.trace,
-                            scenario.num_gpus,
-                            scenario.interconnect_spec,
-                            strategy=scenario.strategy_spec,
-                        )
-                    )
-            with tracer.span("planner.price") as sp:
-                candidates: List[ClusterCandidate] = []
-                for point, estimate in zip(points, estimates):
-                    scenario = point.scenario
-                    priced = set(self.catalog.providers_for(scenario.gpu_spec.name))
-                    for provider in providers:
-                        if provider not in priced:
-                            continue  # this provider does not rent this GPU
-                        rate = self.catalog.dollars_per_hour(
-                            scenario.gpu_spec.name, provider
-                        )
-                        candidates.append(
-                            ClusterCandidate(
-                                scenario=scenario,
-                                provider=provider,
-                                dollars_per_gpu_hour=rate,
-                                estimate=estimate,
-                                num_queries=self.num_queries,
-                                epochs=self.epochs,
-                            )
-                        )
-                sp.attributes["candidates"] = len(candidates)
-            with tracer.span("planner.pareto") as sp:
-                candidates.sort(key=ClusterCandidate.sort_key)
-                frontier = pareto_frontier(candidates)
-                feasible = [
-                    c for c in candidates if c.meets(deadline_hours, budget_dollars)
-                ]
-                cheapest = min(
-                    feasible, key=lambda c: (c.dollars, c.hours, c.label), default=None
-                )
-                fastest = min(
-                    feasible, key=lambda c: (c.hours, c.dollars, c.label), default=None
-                )
-                sp.attributes["frontier"] = len(frontier)
-        return ClusterPlan(
-            model_name=self.cfg.name,
-            dataset=self.dataset,
-            seq_len=self.seq_len,
-            num_queries=self.num_queries,
-            epochs=self.epochs,
-            deadline_hours=deadline_hours,
-            budget_dollars=budget_dollars,
-            candidates=candidates,
-            frontier=frontier,
-            cheapest=cheapest,
-            fastest=fastest,
-            skipped=skipped,
-        )
+        with self.tracer.span("planner.plan", model=self.cfg.name):
+            sweep = self.sweep(
+                gpus=gpus,
+                providers=providers,
+                num_gpus=num_gpus,
+                interconnects=interconnects,
+                densities=densities,
+                batch_sizes=batch_sizes,
+                parallelism=parallelism,
+                max_tp=max_tp,
+                grad_accums=grad_accums,
+            )
+            with self.tracer.span("planner.select") as sp:
+                plan = self._select(sweep, deadline_hours, budget_dollars)
+                sp.attributes["candidates"] = len(plan.candidates)
+        return plan

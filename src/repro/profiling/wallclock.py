@@ -9,8 +9,9 @@ fine-tuning and negligible under LoRA — are checkable on real executions.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -22,12 +23,27 @@ from ..optim import AdamW
 
 @dataclass
 class StageTimings:
-    """Accumulated wall-clock seconds per training stage."""
+    """Accumulated wall-clock seconds per training stage, plus each
+    stage's fastest single step (``fastest``): the min-of-N estimate,
+    which a busy host inflates far less than the sums."""
 
     forward: float = 0.0
     backward: float = 0.0
     optimizer: float = 0.0
     steps: int = 0
+    fastest: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(("forward", "backward", "optimizer"), math.inf)
+    )
+
+    def record(self, forward: float, backward: float, optimizer: float) -> None:
+        """Add one step's stage seconds."""
+        self.forward += forward
+        self.backward += backward
+        self.optimizer += optimizer
+        self.steps += 1
+        for stage, seconds in (("forward", forward), ("backward", backward),
+                               ("optimizer", optimizer)):
+            self.fastest[stage] = min(self.fastest[stage], seconds)
 
     @property
     def total(self) -> float:
@@ -70,10 +86,11 @@ def profile_training_stages(
             optimizer.step()
             after_optimizer = time.perf_counter()
 
-            timings.forward += after_forward - start
-            timings.backward += after_backward - after_forward
-            timings.optimizer += after_optimizer - after_backward
-            timings.steps += 1
+            timings.record(
+                forward=after_forward - start,
+                backward=after_backward - after_forward,
+                optimizer=after_optimizer - after_backward,
+            )
             steps_done += 1
             if steps_done >= num_steps:
                 break

@@ -43,6 +43,14 @@ queues behind a cold plan a second time. The memo shares the cache's LRU
 bound, single-flight and ``hits``/``misses`` accounting, so a warm
 repeat's ``engine`` block reads ``hits: 1``.
 
+Below the plan memo sit the planners' sweep memos
+(:meth:`~repro.cluster.planner.ClusterPlanner.sweep`,
+:meth:`~repro.spot.planner.RiskAdjustedPlanner.spot_sweep`): a request
+that differs from an earlier one only in its deadline, budget or
+confidence misses the plan memo but hits the sweep, so its ``engine``
+block reads ``hits: 1``, ``misses: 1`` and no simulations or risk
+lookups.
+
 The per-request ``engine`` block reports the cache-counter deltas the
 request observed (simulations, hits, ...). Under concurrent *distinct*
 requests the deltas can attribute a neighbor's traffic (the counters
@@ -62,7 +70,7 @@ from ..scenarios import SimulationCache, SingleFlight
 from ..serialization import dumps
 from ..spot.request import SpotPlanRequest
 from ..telemetry.export import metric_events, telemetry_block, write_events
-from ..telemetry.manifest import build_manifest, grid_digest
+from ..telemetry.manifest import build_manifest
 from ..telemetry.metrics import MetricsRegistry, merge_snapshots
 from ..telemetry.tracer import Tracer
 from .catalog import PricingCatalog
@@ -256,14 +264,14 @@ class PlanningService:
     def _plan_entry(self, request, catalog, tracer):
         """The plan half of a plan-memo entry: the ``plan`` member text
         and the swept grid's digest. Only a traced service reads the
-        digest (for the manifest), and at ~2 ms per 48-cell grid an
-        untraced one skips it; the memo key carries ``traced`` so
-        services sharing one cache never read each other's entries."""
+        digest (for the manifest); the sweep computes it once, on that
+        first read, so an untraced service never pays for it. The memo
+        key carries ``traced`` so services sharing one cache never read
+        each other's entries."""
         planner, plan = request.run(cache=self.cache, catalog=catalog, tracer=tracer)
-        grid = planner.last_grid
         return (
             _member_text(plan.to_payload()),
-            grid_digest(grid) if self._traced and grid is not None else None,
+            planner.last_sweep.grid_digest if self._traced else None,
         )
 
     def _export_telemetry(self, kind, request, tracer, stats, grid):

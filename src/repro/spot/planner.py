@@ -34,6 +34,15 @@ probabilities are evaluated against the memoized distribution at plan
 time, and catalog rates only enter the (cheap, uncached) exclusion
 arithmetic.
 
+Above the bundles sits the sweep memo. The tier rows, exclusions and
+risk frontier depend on no target, so
+:meth:`RiskAdjustedPlanner.spot_sweep` memoizes them as one derived
+result, keyed like the cluster sweep (catalog digest included: the rows
+hold prices) plus the risk inputs. Each plan call reads completion
+probabilities at its own deadline from the rows' serving distributions,
+so a re-plan with another deadline, budget or confidence makes one
+cache lookup and no risk lookups.
+
 Spot candidates whose expected cost exceeds their own on-demand cost
 (possible when the hazard is high enough that lost work and restarts eat
 the discount) are *excluded with a recorded reason* rather than listed —
@@ -59,6 +68,7 @@ from ..cluster.planner import (
     ClusterCandidate,
     ClusterPlan,
     ClusterPlanner,
+    ClusterSweep,
     dominance_sweep,
     strategy_payload,
 )
@@ -96,6 +106,10 @@ DEFAULT_SEED = 20240724  # the paper's venue year/month; any constant works
 # while also running the Monte Carlo so its mean is reported alongside.
 RISK_MODES = ("analytic", "mc", "both")
 DEFAULT_RISK_MODE = "analytic"
+
+#: A spot row's serving distribution: completion probabilities at a
+#: deadline are read from it at selection time.
+Serving = Union[AnalyticMakespanDistribution, MakespanDistribution]
 
 
 @dataclass(frozen=True)
@@ -174,6 +188,17 @@ class SpotCandidate:
         if budget_dollars is not None and self.expected_dollars > budget_dollars:
             return False
         return True
+
+    def at_completion(self, probability: float) -> "SpotCandidate":
+        """This candidate with another completion probability. The copy
+        keeps the cached label and expected dollars, which no deadline
+        moves; ``dataclasses.replace`` would rerun ``__init__`` and drop
+        them, at ~5x the cost per row of a selection."""
+        if probability == self.completion_probability:
+            return self
+        copy = object.__new__(SpotCandidate)
+        copy.__dict__.update(self.__dict__, completion_probability=probability)
+        return copy
 
     def sort_key(self) -> Tuple:
         """Deterministic total order on the risk view: tight-tail before
@@ -260,6 +285,38 @@ class RiskEntry:
 
     pricing: CadencePricing
     distributions: Optional[RiskDistributions] = None
+
+
+@dataclass(frozen=True)
+class SpotSweep:
+    """The target-free half of a spot plan, memoized per sweep key (see
+    :meth:`RiskAdjustedPlanner.spot_sweep`): the cluster sweep it priced,
+    the tier rows in ``(p95_hours, expected_dollars, label)`` order with
+    completion probabilities for no deadline (all 1), each row's serving
+    distribution (``None`` for the on-demand point mass), the frontier
+    as row indices, and the exclusion reasons. Self-contained: it never
+    re-reads the risk bundles, which the LRU bound may have dropped."""
+
+    cluster: ClusterSweep
+    candidates: Tuple[SpotCandidate, ...]
+    servings: Tuple[Optional[Serving], ...]
+    frontier: Tuple[int, ...]
+    excluded: Tuple[str, ...]
+
+    def at_deadline(self, deadline_hours: Optional[float]) -> List[SpotCandidate]:
+        """Fresh rows with their completion probability at the deadline:
+        the on-demand tier is 0/1 against its deterministic hours, the
+        spot tier reads its serving distribution."""
+        if deadline_hours is None:
+            return list(self.candidates)
+        rows = []
+        for candidate, serving in zip(self.candidates, self.servings):
+            if serving is None:
+                probability = 1.0 if candidate.base.hours <= deadline_hours else 0.0
+            else:
+                probability = float(serving.completion_probability(deadline_hours))
+            rows.append(candidate.at_completion(probability))
+        return rows
 
 
 @dataclass
@@ -633,12 +690,12 @@ class RiskAdjustedPlanner(ClusterPlanner):
         return self.cache.memoize(key, compute, kind="risk")
 
     def _spot_candidate(
-        self,
-        base: ClusterCandidate,
-        deadline_hours: Optional[float],
-    ) -> Union[SpotCandidate, str]:
-        """Risk-price one candidate on the spot tier, or the exclusion
-        reason when spot cannot beat the candidate's own on-demand cost.
+        self, base: ClusterCandidate
+    ) -> Union[Tuple[SpotCandidate, Serving], str]:
+        """Risk-price one candidate on the spot tier — the candidate (with
+        no deadline, so a completion probability of 1) and its serving
+        distribution — or the exclusion reason when spot cannot beat the
+        candidate's own on-demand cost.
 
         The expensive pieces are memoized (see the module docstring for
         the bundle key contract); only the exclusion arithmetic — which
@@ -671,7 +728,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
             )
             entry.distributions = distributions
         serving = distributions.serving
-        return SpotCandidate(
+        candidate = SpotCandidate(
             base=base,
             tier=SPOT,
             dollars_per_gpu_hour=spot_rate,
@@ -680,21 +737,17 @@ class RiskAdjustedPlanner(ClusterPlanner):
             p50_hours=float(serving.p50_hours),
             p95_hours=float(serving.p95_hours),
             expected_preemptions=pricing.expected_preemptions,
-            completion_probability=float(
-                serving.completion_probability(deadline_hours)
-            ),
+            completion_probability=1.0,  # no deadline; see SpotSweep.at_deadline
             market=market,
             policy=policy,
         )
+        return candidate, serving
 
     @staticmethod
-    def _ondemand_candidate(
-        base: ClusterCandidate, deadline_hours: Optional[float]
-    ) -> SpotCandidate:
+    def _ondemand_candidate(base: ClusterCandidate) -> SpotCandidate:
         """The uninterrupted tier: a point-mass distribution at the PR 2
         makespan, so the risk view degenerates to (hours, dollars)."""
         hours = base.hours
-        meets = deadline_hours is None or hours <= deadline_hours
         return SpotCandidate(
             base=base,
             tier=ONDEMAND,
@@ -704,7 +757,77 @@ class RiskAdjustedPlanner(ClusterPlanner):
             p50_hours=hours,
             p95_hours=hours,
             expected_preemptions=0.0,
-            completion_probability=1.0 if meets else 0.0,
+            completion_probability=1.0,
+        )
+
+    def spot_sweep(self, spot: str = "both", **sweep_kwargs) -> SpotSweep:
+        """The memoized, target-free half of :meth:`plan_spot`.
+
+        Its key extends the cluster sweep's key (see
+        :meth:`ClusterPlanner.sweep`) with the tier mode, each resolved
+        provider's market digest (which carries the MTBP override), the
+        cadence axis, the risk mode, the trial count and the seed. A hit
+        is one lookup: the value holds its cluster sweep and serving
+        distributions itself, so it never re-reads the risk bundles.
+        """
+        key, providers, compute = self._sweep_request(**sweep_kwargs)
+        spot_key = (
+            "spot-sweep",
+            key,
+            spot,
+            tuple(self.market_for(provider).digest() for provider in providers),
+            self._cadence_axis(),
+            self.risk_mode,
+            self.simulator.trials,
+            self.seed,
+        )
+        sweep = self.cache.memoize(
+            spot_key, lambda: self._price_tiers(self.cache.memoize(key, compute), spot)
+        )
+        self.last_sweep = sweep.cluster
+        return sweep
+
+    def _price_tiers(self, cluster: ClusterSweep, spot: str) -> SpotSweep:
+        """Price every cluster candidate on the requested tiers, then
+        order the rows and take the risk frontier."""
+        tracer = self.tracer
+        with tracer.span("planner.risk") as sp:
+            rows: List[Tuple[SpotCandidate, Optional[Serving]]] = []
+            excluded: List[str] = []
+            missing_spot = set()
+            for base in cluster.candidates:
+                if spot != "only":
+                    rows.append((self._ondemand_candidate(base), None))
+                if spot == "off":
+                    continue
+                gpu_name = base.scenario.gpu_spec.name
+                if not self.catalog.has_spot(gpu_name, base.provider):
+                    missing_spot.add(
+                        f"{base.provider} lists no spot tier for {gpu_name}"
+                    )
+                    continue
+                priced = self._spot_candidate(base)
+                if isinstance(priced, str):
+                    excluded.append(priced)
+                else:
+                    rows.append(priced)
+            excluded.extend(sorted(missing_spot))
+            sp.attributes["candidates"] = len(rows)
+            sp.attributes["excluded"] = len(excluded)
+        with tracer.span("planner.risk_pareto") as sp:
+            rows.sort(key=lambda row: row[0].sort_key())
+            candidates = tuple(candidate for candidate, _ in rows)
+            position = {id(candidate): i for i, candidate in enumerate(candidates)}
+            frontier = tuple(
+                position[id(candidate)] for candidate in risk_pareto_frontier(candidates)
+            )
+            sp.attributes["frontier"] = len(frontier)
+        return SpotSweep(
+            cluster=cluster,
+            candidates=candidates,
+            servings=tuple(serving for _, serving in rows),
+            frontier=frontier,
+            excluded=tuple(excluded),
         )
 
     def plan_spot(
@@ -723,6 +846,16 @@ class RiskAdjustedPlanner(ClusterPlanner):
         the risk view — useful as a baseline with identical shape).
         ``sweep_kwargs`` are the inherited :meth:`ClusterPlanner.plan`
         axis arguments (``gpus``, ``providers``, ``num_gpus``, ...).
+
+        Like :meth:`ClusterPlanner.plan`, a spot plan is a memoized sweep
+        (:meth:`spot_sweep`: tier rows with their cadence pricing and
+        serving distributions, exclusions, and the frontier in
+        ``(p95_hours, expected_dollars, label)`` order) plus a per-call
+        selection: each row's completion probability at the deadline,
+        the feasible set under ``confidence``, and the picks. Traced as
+        ``planner.plan_spot``; on a sweep miss the cluster sweep's
+        phases, ``planner.risk`` and ``planner.risk_pareto`` run under
+        it, and ``planner.select`` runs on every call.
         """
         if spot not in ("both", "only", "off"):
             raise ValueError(f"spot must be 'both', 'only' or 'off', got {spot!r}")
@@ -730,39 +863,10 @@ class RiskAdjustedPlanner(ClusterPlanner):
             raise ValueError(f"confidence must be in [0, 1], got {confidence}")
         tracer = self.tracer
         with tracer.span("planner.plan_spot", risk_mode=self.risk_mode, spot=spot):
-            ondemand = super().plan(
-                deadline_hours=deadline_hours,
-                budget_dollars=budget_dollars,
-                **sweep_kwargs,
-            )
-            with tracer.span("planner.risk") as sp:
-                candidates: List[SpotCandidate] = []
-                excluded: List[str] = []
-                missing_spot = set()
-                for base in ondemand.candidates:
-                    if spot != "only":
-                        candidates.append(
-                            self._ondemand_candidate(base, deadline_hours)
-                        )
-                    if spot == "off":
-                        continue
-                    gpu_name = base.scenario.gpu_spec.name
-                    if not self.catalog.has_spot(gpu_name, base.provider):
-                        missing_spot.add(
-                            f"{base.provider} lists no spot tier for {gpu_name}"
-                        )
-                        continue
-                    priced = self._spot_candidate(base, deadline_hours)
-                    if isinstance(priced, str):
-                        excluded.append(priced)
-                    else:
-                        candidates.append(priced)
-                excluded.extend(sorted(missing_spot))
-                sp.attributes["candidates"] = len(candidates)
-                sp.attributes["excluded"] = len(excluded)
-            with tracer.span("planner.risk_pareto") as sp:
-                candidates.sort(key=SpotCandidate.sort_key)
-                frontier = risk_pareto_frontier(candidates)
+            sweep = self.spot_sweep(spot, **sweep_kwargs)
+            with tracer.span("planner.select") as sp:
+                ondemand = self._select(sweep.cluster, deadline_hours, budget_dollars)
+                candidates = sweep.at_deadline(deadline_hours)
                 feasible = [
                     c for c in candidates
                     if c.meets(deadline_hours, budget_dollars, confidence)
@@ -777,15 +881,15 @@ class RiskAdjustedPlanner(ClusterPlanner):
                     key=lambda c: (c.p95_hours, c.expected_dollars, c.label),
                     default=None,
                 )
-                sp.attributes["frontier"] = len(frontier)
+                sp.attributes["candidates"] = len(candidates)
         return SpotPlan(
             ondemand=ondemand,
             confidence=confidence,
             spot_mode=spot,
             candidates=candidates,
-            frontier=frontier,
+            frontier=[candidates[i] for i in sweep.frontier],
             recommended=recommended,
             fastest=fastest,
-            excluded=excluded,
+            excluded=list(sweep.excluded),
             risk_mode=self.risk_mode,
         )

@@ -23,7 +23,8 @@ Usage in a CLI ``main``::
     ...
     tracer = begin_telemetry(args)          # None when disabled
     ... run the plan ...
-    block = finish_telemetry(args, "repro.spot.plan", cache, grid=grid)
+    block = finish_telemetry(args, "repro.spot.plan", cache,
+                             grid=lambda: planner.last_sweep.grid_digest)
     if block is not None and args.as_json:
         payload["telemetry"] = block
 """
@@ -33,10 +34,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .export import metric_events, telemetry_block, write_events
-from .manifest import build_manifest, grid_digest
+from .manifest import build_manifest
 from .runstore import resolve_run_store
 from .tracer import Tracer, default_tracer
 
@@ -78,7 +79,7 @@ def finish_telemetry(
     args: argparse.Namespace,
     command: str,
     cache,
-    grid=None,
+    grid: Optional[Callable[[], Optional[str]]] = None,
     stream=None,
 ) -> Optional[Dict[str, object]]:
     """Close out a traced run: build the manifest from the cache's own
@@ -91,14 +92,14 @@ def finish_telemetry(
     ``cache`` is the run's :class:`SimulationCache`; its ``stats()`` are
     the manifest's cache block (exactly), and its registry supplies the
     metrics.
-    ``grid`` is the swept scenario grid (or ``None`` for runs without a
-    single grid); its digest is only computed here, after the enabled
-    check, so untraced runs never pay for it.
+    ``grid`` returns the swept grid's digest (``None`` for runs without
+    a single grid); it is only called here, after the enabled check, so
+    untraced runs never pay for the digest.
     """
     if not telemetry_enabled(args):
         return None
     tracer = default_tracer()
-    grid = grid_digest(grid) if grid is not None else None
+    grid = grid() if grid is not None else None
     metrics_snapshot = cache.metrics.snapshot()
     manifest = build_manifest(
         command,

@@ -161,7 +161,11 @@ class TestParetoFrontier:
         plan = planner.plan(gpus=(A40,), providers=("lambda",))  # lambda has no A40
         assert not plan.candidates
         assert any("not priced" in reason for reason in plan.skipped)
-        assert cache.stats().lookups == 0  # filtered before tracing
+        stats = cache.stats()
+        # The one lookup is the sweep memo's own miss: the pair is
+        # filtered before tracing, so no trace is looked up.
+        assert stats.lookups == 1 == stats.misses == stats.derived_entries
+        assert stats.entries == 0
 
     def test_duplicate_axis_values_collapse(self):
         plan = self._plan(num_gpus=(4, 4), interconnects=("nvlink", NVLINK))
@@ -193,13 +197,17 @@ class TestPlannerDeterminismAndReuse:
         kwargs = dict(gpus=(A40,), providers=("cudo",), densities=(False,))
         cold = planner.plan(**kwargs)
         cold_stats = cache.stats()
-        # 4 cluster sizes x 2 interconnects share the single replica.
-        assert cold_stats.misses == 1
-        assert cold_stats.lookups == 8
+        # 4 cluster sizes x 2 interconnects share the single replica:
+        # 8 trace lookups, 1 trace miss, plus the sweep memo's own miss.
+        assert cold_stats.misses == 2
+        assert cold_stats.lookups == 9
+        assert cold_stats.simulations == 1
         warm = planner.plan(**kwargs)
         warm_stats = cache.stats()
+        # The warm pass is one sweep-memo hit and no trace lookup.
         assert warm_stats.misses == cold_stats.misses
-        assert warm_stats.hits == cold_stats.hits + 8
+        assert warm_stats.hits == cold_stats.hits + 1
+        assert warm_stats.simulations == cold_stats.simulations
         assert warm.to_payload() == cold.to_payload()
 
     def test_default_sweep_shares_each_replica_eightfold(self):
@@ -211,11 +219,15 @@ class TestPlannerDeterminismAndReuse:
         kwargs = dict(providers=("cudo",), deadline_hours=24.0)
         cold = planner.plan(**kwargs)
         cold_stats = cache.stats()
-        assert cold_stats.lookups >= 8 * cold_stats.misses > 0
+        # Less the sweep memo's own miss, the trace lookups are at least
+        # eight per trace miss.
+        assert cold_stats.lookups - 1 >= 8 * (cold_stats.misses - 1) > 0
+        assert cold_stats.simulations == cold_stats.misses - 1
         warm = planner.plan(**kwargs)
         warm_stats = cache.stats()
         assert warm_stats.misses == cold_stats.misses
-        assert warm_stats.hits > cold_stats.hits
+        assert warm_stats.hits == cold_stats.hits + 1  # the sweep memo's hit
+        assert warm_stats.simulations == cold_stats.simulations
         assert [c.label for c in warm.frontier] == [c.label for c in cold.frontier]
 
     def test_scaling_a_sweep_does_not_resimulate(self):
@@ -224,9 +236,11 @@ class TestPlannerDeterminismAndReuse:
         planner = ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache)
         kwargs = dict(gpus=(A40, H100), providers=("cudo",), densities=(False,))
         planner.plan(num_gpus=(1,), interconnects=("nvlink",), **kwargs)
-        misses_single = cache.stats().misses
+        single = cache.stats()
         planner.plan(num_gpus=(1, 2, 4, 8), **kwargs)
-        assert cache.stats().misses == misses_single
+        # A new sweep: its own memo miss, and no new trace miss.
+        assert cache.stats().misses == single.misses + 1
+        assert cache.stats().simulations == single.simulations
 
 
 class TestCandidateAccounting:

@@ -9,8 +9,12 @@ strict parsers reject. Every ``--json`` CLI funnels through
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.serialization import dumps, json_value, jsonify
 
@@ -100,3 +104,67 @@ class TestDumps:
 
     def test_kwargs_forwarded(self):
         assert dumps({"a": 1}, indent=2).startswith("{\n")
+
+
+# ---------------------------------------------------------------------------
+# The one-pass writer against its reference
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 1e300, -1e-300])
+FLOATS = st.floats() | EDGE_FLOATS
+HASHABLE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    FLOATS,
+    st.text(),  # non-ASCII and control characters included
+)
+NUMPY_SCALARS = st.one_of(
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    FLOATS.map(np.array),  # 0-d
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+           elements=FLOATS),
+    arrays(np.int32, array_shapes(min_dims=1, max_dims=2, max_side=3)),
+)
+KEYS = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-3, max_value=3),
+    st.just(float("nan")),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(min_value=0, max_value=2), st.text(max_size=2)),
+)
+VALUES = st.recursive(
+    HASHABLE | NUMPY_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        st.sets(HASHABLE, max_size=4),
+        st.frozensets(st.text(max_size=3), max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestOnePassWriter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(VALUES)
+    def test_indented_dumps_is_the_reference_byte_for_byte(self, value):
+        """``dumps(..., indent=2)`` walks the value once; it must equal
+        the sanitize-then-encode reference, errors included."""
+        try:
+            expected = json.dumps(jsonify(value), indent=2, allow_nan=False)
+        except ValueError as exc:  # colliding keys
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dumps(value, indent=2)
+            return
+        assert dumps(value, indent=2) == expected
+        assert dumps(value) == json.dumps(jsonify(value), allow_nan=False)
+
+    def test_colliding_keys_raise_in_one_pass_too(self):
+        with pytest.raises(ValueError, match="collide"):
+            dumps({"a": [{1: "x", "1": "y"}]}, indent=2)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.cloud.pricing import DEFAULT_CATALOG, GPUPrice, PriceCatalog
+from repro.cluster.planner import ClusterPlanner
 from repro.cluster.plan import main as cluster_plan_main
 from repro.scenarios import (
     InFlightMap,
@@ -31,6 +32,7 @@ from repro.scenarios import (
 from repro.serialization import dumps
 from repro.service import PlanningService, PricingCatalog as LivePricing, RequestError
 from repro.service.app import (
+    REQUEST_TYPES,
     normalize_cluster_request,
     normalize_spot_request,
     request_digest,
@@ -38,6 +40,7 @@ from repro.service.app import (
 from repro.service.serve import main as serve_main, make_server
 from repro.service.serve import MAX_BODY_BYTES
 from repro.spot.plan import main as spot_plan_main
+from repro.spot.planner import RiskAdjustedPlanner
 from repro.telemetry import validate_file
 from repro.telemetry.runstore import RunStore
 
@@ -909,6 +912,169 @@ class TestPlanMemo:
         assert traced["telemetry"]["manifest"]["grid_digest"] is not None
         del traced["telemetry"]
         assert _without_engine(dumps(traced, indent=2)) == _without_engine(plain)
+
+
+# Fields that shape a sweep: (values to draw from, the default). A
+# neighbor differs from its request in one of them, so it must never
+# share the request's sweep.
+SWEEP_FIELDS = {
+    "provider": (("cudo", "runpod"), None),
+    "epochs": ((3, 10), 10),
+    "dataset": (("math14k", "commonsense15k"), "math14k"),
+    "density": (("sparse", "dense", "both"), "both"),
+    "num_queries": ((500, 2000), None),
+    "seq_len": ((128, 256), None),
+}
+SPOT_SWEEP_FIELDS = {
+    "spot": (("both", "only", "off"), "both"),
+    "mtbp_hours": ((4.0, 12.0), None),
+    "checkpoint_minutes": ((15.0, 90.0), None),
+    "risk_mode": (("analytic", "both"), "analytic"),
+    "trials": ((64, 128), 512),
+    "seed": ((1, 2), 20240724),
+}
+
+
+@st.composite
+def sibling_requests(draw):
+    """A spelled request body, a sibling — the same request with another
+    deadline, budget or confidence, so both share one sweep — and its
+    neighbors, each differing from it in one field that shapes the sweep."""
+    kind, body, _argv = draw(spelled_requests())
+    targets = {"deadline_hours": (12.0, 36.0), "budget_dollars": (100.0, 250.0)}
+    fields = dict(SWEEP_FIELDS)
+    if kind == "spot":
+        targets["confidence"] = (0.8, 0.99)
+        fields.update(SPOT_SWEEP_FIELDS)
+        if draw(st.booleans()):
+            body["risk_mode"] = "both"  # so the Monte Carlo seed and trials count
+    name = draw(st.sampled_from(sorted(targets)))
+    sibling = dict(body, **{name: draw(st.sampled_from(targets[name]))})
+    neighbors = []
+    for name, (pool, default) in fields.items():
+        other = [value for value in pool if value != body.get(name, default)]
+        neighbors.append(dict(body, **{name: draw(st.sampled_from(other))}))
+    return kind, body, sibling, neighbors
+
+
+def _fresh_plan_text(kind, body) -> str:
+    """The plan of ``body`` computed on a fresh cache, as the CLIs print it."""
+    _planner, plan = REQUEST_TYPES[kind].from_body(body).run(cache=SimulationCache())
+    return dumps(plan.to_payload(), indent=2)
+
+
+@pytest.fixture(scope="module")
+def sweep_service():
+    """One warm service kept across examples."""
+    return PlanningService()
+
+
+class TestSweepMemo:
+    """A re-plan that changes only the target reuses the memoized sweep."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sibling_requests())
+    def test_replan_of_a_memoized_sweep_is_a_fresh_plan(self, sweep_service, request):
+        kind, body, sibling, neighbors = request
+        for neighbor in neighbors:
+            sweep_service.plan(kind, neighbor)
+        sweep_service.plan(kind, sibling)
+        response = json.loads(sweep_service.plan(kind, body))
+        engine = response["engine"]
+        # One hit: the sweep memo (or the plan memo, for a body an earlier
+        # example already planned). Either way nothing is simulated and
+        # the risk bundles are never read.
+        assert engine["hits"] == 1
+        assert engine["simulations"] == 0
+        assert engine["risk_hits"] == 0 == engine["risk_misses"]
+        assert dumps(response["plan"], indent=2) == _fresh_plan_text(kind, body)
+
+    @pytest.mark.parametrize("kind", ["cluster", "spot"])
+    def test_evicted_sweep_replans_to_the_same_bytes(self, kind):
+        service = PlanningService(capacity=1)
+        service.plan(kind, dict(MIXTRAL_A40))
+        replan = dict(MIXTRAL_A40, deadline_hours=48)
+        # Capacity 1 keeps only the last plan-memo entry, so the sweep it
+        # was built from is gone and the re-plan sweeps again.
+        response = json.loads(service.plan(kind, replan))
+        assert response["engine"]["misses"] > 1 and response["engine"]["evictions"] > 0
+        assert dumps(response["plan"], indent=2) == _fresh_plan_text(kind, replan)
+
+    def test_sweep_outlives_its_evicted_risk_bundles(self):
+        """Capacity 2 keeps the spot sweep and the plan-memo entry but
+        drops every risk bundle: the sweep holds its own distributions."""
+        service = PlanningService(capacity=2)
+        service.plan("spot", dict(MIXTRAL_A40))
+        replan = dict(MIXTRAL_A40, deadline_hours=48)
+        response = json.loads(service.plan("spot", replan))
+        engine = response["engine"]
+        assert engine["hits"] == 1 and engine["misses"] == 1
+        assert engine["risk_hits"] == 0 == engine["risk_misses"]
+        assert dumps(response["plan"], indent=2) == _fresh_plan_text("spot", replan)
+
+    def test_concurrent_replans_run_each_sweep_once(self, monkeypatch):
+        sweeps = []
+        for owner, name in ((ClusterPlanner, "_run_sweep"), (RiskAdjustedPlanner, "_price_tiers")):
+            original = getattr(owner, name)
+
+            def counted(planner, *args, _original=original, _name=name, **kwargs):
+                sweeps.append(_name)
+                return _original(planner, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        service = PlanningService()
+        requests = [(kind, dict(MIXTRAL_A40, deadline_hours=hours))
+                    for kind in ("cluster", "spot") for hours in (12, 24, 36, 48)]
+        plans = {i: [] for i in range(len(requests))}
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(len(requests)):
+                    i = (offset + step) % len(requests)
+                    plans[i].append(json.loads(service.plan(*requests[i]))["plan"])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        # One cluster sweep, shared by the spot sweep, and one spot sweep.
+        assert sorted(sweeps) == ["_price_tiers", "_run_sweep"]
+        for i, (kind, body) in enumerate(requests):
+            fresh = _fresh_plan_text(kind, body)
+            assert len(plans[i]) == 6
+            assert all(dumps(plan, indent=2) == fresh for plan in plans[i])
+
+    def test_traced_replans_digest_each_cell_once(self, monkeypatch):
+        request = REQUEST_TYPES["cluster"].from_body(dict(MIXTRAL_A40))
+        planner, _plan = request.run(cache=SimulationCache())
+        cells = len(planner.last_sweep.grid)
+        calls = []
+        digest = Scenario.digest
+
+        def counted(scenario):
+            calls.append(scenario)
+            return digest(scenario)
+
+        monkeypatch.setattr(Scenario, "digest", counted)
+        service = PlanningService(telemetry=True)
+        first = json.loads(service.plan("cluster", dict(MIXTRAL_A40)))
+        second = json.loads(service.plan("cluster", dict(MIXTRAL_A40, deadline_hours=48)))
+        assert second["engine"]["hits"] == 1 and second["engine"]["misses"] == 1
+        assert len(calls) == cells > 0
+        grid = first["telemetry"]["manifest"]["grid_digest"]
+        assert grid is not None
+        assert second["telemetry"]["manifest"]["grid_digest"] == grid
 
 
 @pytest.fixture(scope="module")

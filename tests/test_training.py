@@ -156,7 +156,10 @@ class TestWallclockProfiling:
         model = MixtralModel(MIXTRAL_TINY, finetune_mode="full", gradient_checkpointing=False, rng=rng)
         timings = profile_training_stages(model, tiny_suite.commonsense15k.subset(64),
                                           batch_size=16, num_steps=4)
-        assert timings.backward > 0.4 * timings.forward
+        # Each stage is its fastest step of the four, so a busy host's
+        # stalls do not decide the comparison.
+        fastest = timings.fastest
+        assert fastest["backward"] > 0.4 * fastest["forward"]
 
     def test_measured_throughput_positive(self, tiny_suite, rng):
         model = MixtralModel(MIXTRAL_TINY, finetune_mode="full", gradient_checkpointing=False, rng=rng)
