@@ -26,16 +26,11 @@ axes to the replica key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
-from ..gpu.multigpu import (
-    Interconnect,
-    MultiGPUEstimate,
-    estimate_from_trace,
-    get_interconnect,
-)
+from ..gpu.multigpu import Interconnect, get_interconnect
 from ..gpu.parallelism import DATA_PARALLEL, ParallelismStrategy, get_strategy
-from ..scenarios import Scenario, SimulationCache, freeze_overrides, resolve_cache
+from ..scenarios import Scenario, freeze_overrides
 
 # The workload-override key a TP strategy owns on cluster scenarios.
 TP_OVERRIDE = "tensor_parallel"
@@ -160,18 +155,6 @@ class ClusterScenario(Scenario):
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def estimate(self, cache: Optional[SimulationCache] = None) -> MultiGPUEstimate:
-        """Cluster estimate at this point, built from the (cached)
-        per-device trace plus the strategy's collectives model."""
-        cache = resolve_cache(cache)
-        return estimate_from_trace(
-            self.config,
-            cache.simulate(self),
-            self.num_gpus,
-            self.interconnect_spec,
-            strategy=self.strategy_spec,
-        )
-
     def global_batch_size(self) -> int:
         """Queries contributing to one optimizer step across the fleet."""
         return self.strategy_spec.global_batch_size(self.num_gpus, self.batch_size)

@@ -194,19 +194,6 @@ class DataParallelSimulator:
         trace = self._single.simulate_step(cfg, per_gpu_batch, seq_len, dense=dense, **overrides)
         return estimate_from_trace(cfg, trace, num_gpus, self.interconnect)
 
-    def scaling_curve(
-        self,
-        cfg: ModelConfig,
-        per_gpu_batch: int,
-        seq_len: int,
-        max_gpus: int = 8,
-        dense: bool = False,
-    ) -> Dict[int, MultiGPUEstimate]:
-        return {
-            n: self.estimate(cfg, per_gpu_batch, seq_len, n, dense=dense)
-            for n in range(1, max_gpus + 1)
-        }
-
 
 def multi_gpu_cost_dollars(
     estimate: MultiGPUEstimate,

@@ -124,16 +124,3 @@ class GPUSimulator:
     ) -> float:
         """Steady-state fine-tuning throughput in queries/second."""
         return self.simulate_step(cfg, batch_size, seq_len, dense=dense, **overrides).queries_per_second
-
-    def throughput_sweep(
-        self,
-        cfg: ModelConfig,
-        batch_sizes: List[int],
-        seq_len: int,
-        dense: bool = False,
-        **overrides,
-    ) -> Dict[int, float]:
-        """Throughput at several batch sizes (the data behind Figs. 14/15)."""
-        return {
-            b: self.throughput(cfg, b, seq_len, dense=dense, **overrides) for b in batch_sizes
-        }

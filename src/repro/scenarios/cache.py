@@ -42,11 +42,12 @@ class CacheStats:
     """A snapshot of the cache's accounting counters.
 
     ``risk_hits``/``risk_misses`` count :meth:`SimulationCache.memoize`
-    traffic tagged ``kind="risk"`` (the spot planner's memoized risk
-    results) separately from trace/derived traffic, so "the warm risk
-    sweep recomputed nothing" is assertable without entangling the
-    trace-layer counters that the zero-redundant-simulation criteria
-    already pin down.
+    traffic tagged ``kind="risk"`` (the spot planner's one makespan
+    distribution memo per admitted spot candidate) separately from
+    trace/derived traffic, so "the warm risk sweep recomputed nothing"
+    and "an excluded candidate built no distribution" are assertable
+    without entangling the trace-layer counters that the
+    zero-redundant-simulation criteria already pin down.
 
     ``evictions`` counts entries dropped by the LRU bound (see
     ``SimulationCache(capacity=...)``); it stays 0 for unbounded caches,
@@ -54,7 +55,8 @@ class CacheStats:
 
     ``entries`` counts resident traces; ``derived_entries`` counts the
     resident results of :meth:`SimulationCache.memoize` (Eq. 2 fits,
-    risk bundles, the planning service's plan-memo entries). Each is
+    plan sweeps, spot candidates' risk distributions, the planning
+    service's plan-memo entries). Each is
     bounded by ``capacity`` on its own.
     """
 

@@ -14,27 +14,24 @@ its cached replica traces) is inherited unchanged, and every resulting
 
 The spot math is pure post-processing over already-priced candidates, so
 the risk sweep performs **zero** additional simulations beyond the
-on-demand plan, warm or cold. Risk results themselves are memoized in
-the cache's derived-result namespace (``kind="risk"``) as one bundle per
-candidate, so a warm risk sweep recomputes nothing and pays a single
-cache probe per candidate:
+on-demand plan, warm or cold. On a sweep miss each spot candidate
 
-* the bundle key is ``("spot-risk", cluster_key, work_hours, market
-  digest, cadence axis, risk_mode, trials, seed)`` -> cadence pricing
-  plus (lazily) the makespan distributions;
-* the bundle is created with the closed-form cadence pricing only; the
-  distributions are filled in **after** the exclusion check, under the
-  sub-key ``("spot-risk-dist", cluster_key, work_hours, market digest,
-  resolved cadence, risk_mode, trials, seed)``, so a candidate priced
-  out of the spot tier never pays for a distribution — and if catalog
-  prices later admit it, the fill runs exactly once.
+1. prices its cadences in closed form (O(cadences): a run's segments are
+   at most two ``(length, count)`` groups) and keeps the cheapest;
+2. runs the exclusion check against the catalog's spot price;
+3. only then looks up its makespan distribution(s), memoized in the
+   cache's derived-result namespace (``kind="risk"``) under
+   ``("spot-risk-dist", cluster_key, work_hours, market digest, resolved
+   cadence, write and restart seconds, risk_mode, trials, seed)``.
 
-Deadlines and prices are deliberately outside the keys: completion
+So a candidate priced out of the spot tier never builds a distribution,
+and if catalog prices later admit it, it builds one exactly once.
+Deadlines and prices are deliberately outside the key: completion
 probabilities are evaluated against the memoized distribution at plan
 time, and catalog rates only enter the (cheap, uncached) exclusion
 arithmetic.
 
-Above the bundles sits the sweep memo. The tier rows, exclusions and
+Above the distributions sits the sweep memo. The tier rows, exclusions and
 risk frontier depend on no target, so
 :meth:`RiskAdjustedPlanner.spot_sweep` memoizes them as one derived
 result, keyed like the cluster sweep (catalog digest included: the rows
@@ -87,6 +84,7 @@ from .risk import (
     DEFAULT_TRIALS,
     AnalyticMakespanDistribution,
     MakespanDistribution,
+    Segments,
     SpotSimulator,
     expected_makespan_hours,
     expected_preemptions,
@@ -245,22 +243,10 @@ def risk_pareto_frontier(candidates: Sequence[SpotCandidate]) -> List[SpotCandid
 
 
 @dataclass(frozen=True)
-class CadencePricing:
-    """The closed-form half of a risk bundle: the cadence selected from
-    the menu (or the Daly optimum) together with the exact moments at
-    that cadence. Pure function of (cluster scenario, work hours,
-    market, cadence axis) — no prices, no deadlines."""
-
-    policy: CheckpointPolicy
-    expected_hours: float
-    expected_preemptions: float
-
-
-@dataclass(frozen=True)
 class RiskDistributions:
-    """Stage-2 memoized risk result for one spot candidate: the serving
-    distribution (analytic or Monte Carlo, per risk mode) plus the
-    Monte Carlo run when the mode requested one. Deadlines are *not*
+    """The memoized risk result of one admitted spot candidate: the
+    serving distribution (analytic or Monte Carlo, per risk mode) plus
+    the Monte Carlo run when the mode requested one. Deadlines are *not*
     part of the memoization key — ``completion_probability(deadline)``
     is evaluated against the stored distribution at plan time."""
 
@@ -274,19 +260,6 @@ class RiskDistributions:
         return self.mc.mean_hours if self.mc is not None else self.serving.mean_hours
 
 
-@dataclass
-class RiskEntry:
-    """One candidate's memoized risk bundle (deliberately mutable): the
-    cadence pricing is computed on the first miss, the distributions are
-    filled in lazily after the exclusion check so a candidate priced out
-    of the spot tier never pays for one. The fill itself is memoized
-    under its own sub-key, so concurrent planners collapse to a single
-    computation and the bundle converges to the same value either way."""
-
-    pricing: CadencePricing
-    distributions: Optional[RiskDistributions] = None
-
-
 @dataclass(frozen=True)
 class SpotSweep:
     """The target-free half of a spot plan, memoized per sweep key (see
@@ -295,7 +268,7 @@ class SpotSweep:
     completion probabilities for no deadline (all 1), each row's serving
     distribution (``None`` for the on-demand point mass), the frontier
     as row indices, and the exclusion reasons. Self-contained: it never
-    re-reads the risk bundles, which the LRU bound may have dropped."""
+    re-reads the risk memo, which the LRU bound may have dropped."""
 
     cluster: ClusterSweep
     candidates: Tuple[SpotCandidate, ...]
@@ -568,7 +541,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
         return (min(interval, max(work_hours, 1e-9) * 60.0),)
 
     def _cadence_axis(self) -> Tuple:
-        """The part of the risk-memoization keys describing how cadences
+        """The part of the spot sweep key describing how cadences
         are generated: the explicit menu (or the Daly marker) plus the
         write/restart cost model knobs that shape every policy."""
         return (
@@ -577,78 +550,23 @@ class RiskAdjustedPlanner(ClusterPlanner):
             self.provision_seconds,
         )
 
-    def _risk_entry(
-        self,
-        base: ClusterCandidate,
-        market: SpotMarket,
-        rate: float,
-        cluster_key: Tuple,
-    ) -> RiskEntry:
-        """The candidate's memoized risk bundle — the single cache probe
-        a warm plan pays per candidate. Created with the closed-form
-        cadence pricing (segments computed once per cadence and shared by
-        both estimators); distributions are filled in later, after the
-        exclusion check."""
-        work = base.hours
-        scenario = base.scenario
-        key = (
-            "spot-risk",
-            cluster_key,
-            work,
-            market.digest(),
-            self._cadence_axis(),
-            self.risk_mode,
-            self.simulator.trials,
-            self._seed_for(base),
-        )
-
-        def compute() -> RiskEntry:
-            tensor_parallel = scenario.strategy_spec.tensor_parallel
-            priced = []
-            for minutes in self._candidate_intervals(work, rate, tensor_parallel):
-                policy = self._policy_for(minutes, tensor_parallel)
-                segments = segment_lengths(work, policy)
-                priced.append(
-                    (
-                        expected_makespan_hours(work, rate, policy, segments=segments),
-                        policy,
-                        segments,
-                    )
-                )
-            # Ties (e.g. every cadence at zero hazard) break toward the
-            # shortest interval; keying explicitly also keeps min() from
-            # comparing the unorderable policy dataclasses themselves.
-            expected, policy, segments = min(
-                priced, key=lambda entry: (entry[0], entry[1].interval_minutes)
-            )
-            pricing = CadencePricing(
-                policy=policy,
-                expected_hours=expected,
-                expected_preemptions=expected_preemptions(
-                    work, rate, policy, segments=segments
-                ),
-            )
-            return RiskEntry(pricing=pricing)
-
-        return self.cache.memoize(key, compute, kind="risk")
-
     def _risk_distributions(
         self,
         base: ClusterCandidate,
         market: SpotMarket,
         rate: float,
         policy: CheckpointPolicy,
-        cluster_key: Tuple,
+        segments: Segments,
     ) -> RiskDistributions:
-        """The bundle's lazy fill, memoized under its own sub-key: the
-        candidate's makespan distribution(s) at its resolved cadence,
-        per the planner's risk mode. Runs only for candidates that
-        survive the exclusion check."""
+        """The candidate's makespan distribution(s) at its resolved
+        cadence, per the planner's risk mode: its one ``kind="risk"``
+        lookup (see the module docstring for the key). Called only for
+        candidates that survive the exclusion check."""
         work = base.hours
         seed = self._seed_for(base)
         key = (
             "spot-risk-dist",
-            cluster_key,
+            base.scenario.cluster_key(),
             work,
             market.digest(),
             policy.interval_minutes,
@@ -664,7 +582,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             # (histogram count doubles as "how many distributions were
             # built this run"), so a telemetry export shows what the
             # serving path costs vs what validation costs.
-            segments = segment_lengths(work, policy)
             analytic: Optional[AnalyticMakespanDistribution] = None
             mc: Optional[MakespanDistribution] = None
             if self.risk_mode in ("analytic", "both"):
@@ -697,19 +614,31 @@ class RiskAdjustedPlanner(ClusterPlanner):
         distribution — or the exclusion reason when spot cannot beat the
         candidate's own on-demand cost.
 
-        The expensive pieces are memoized (see the module docstring for
-        the bundle key contract); only the exclusion arithmetic — which
-        depends on catalog prices — runs unconditionally. The exclusion
-        check stays *before* the distribution fill so hopeless candidates
-        (hazard eats the discount) never pay for one."""
+        The cadence pricing is closed form and runs on every call; the
+        exclusion check comes before the distribution lookup, so
+        hopeless candidates (hazard eats the discount) never build one."""
         scenario = base.scenario
         market = self.market_for(base.provider)
         rate = market.fleet_rate_per_hour(scenario.num_gpus)
-        cluster_key = scenario.cluster_key()  # built once, shared by both keys
-        entry = self._risk_entry(base, market, rate, cluster_key)
-        pricing = entry.pricing
-        expected = pricing.expected_hours
-        policy = pricing.policy
+        work = base.hours
+        tensor_parallel = scenario.strategy_spec.tensor_parallel
+        priced = []
+        for minutes in self._candidate_intervals(work, rate, tensor_parallel):
+            policy = self._policy_for(minutes, tensor_parallel)
+            segments = segment_lengths(work, policy)
+            priced.append(
+                (
+                    expected_makespan_hours(work, rate, policy, segments=segments),
+                    policy,
+                    segments,
+                )
+            )
+        # Ties (e.g. every cadence at zero hazard) break toward the
+        # shortest interval; keying explicitly also keeps min() from
+        # comparing the unorderable policy dataclasses themselves.
+        expected, policy, segments = min(
+            priced, key=lambda entry: (entry[0], entry[1].interval_minutes)
+        )
         spot_rate = self.catalog.spot_dollars_per_hour(
             scenario.gpu_spec.name, base.provider
         )
@@ -721,12 +650,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
                 f"(mtbp {market.mtbp_hours:g} h x{scenario.num_gpus}, "
                 f"checkpoint {policy.interval_minutes:g} min)"
             )
-        distributions = entry.distributions
-        if distributions is None:
-            distributions = self._risk_distributions(
-                base, market, rate, policy, cluster_key
-            )
-            entry.distributions = distributions
+        distributions = self._risk_distributions(base, market, rate, policy, segments)
         serving = distributions.serving
         candidate = SpotCandidate(
             base=base,
@@ -736,7 +660,9 @@ class RiskAdjustedPlanner(ClusterPlanner):
             mc_mean_hours=float(distributions.mc_mean_hours),
             p50_hours=float(serving.p50_hours),
             p95_hours=float(serving.p95_hours),
-            expected_preemptions=pricing.expected_preemptions,
+            expected_preemptions=expected_preemptions(
+                work, rate, policy, segments=segments
+            ),
             completion_probability=1.0,  # no deadline; see SpotSweep.at_deadline
             market=market,
             policy=policy,
@@ -768,7 +694,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
         provider's market digest (which carries the MTBP override), the
         cadence axis, the risk mode, the trial count and the seed. A hit
         is one lookup: the value holds its cluster sweep and serving
-        distributions itself, so it never re-reads the risk bundles.
+        distributions itself, so it never re-reads the risk memo.
         """
         key, providers, compute = self._sweep_request(**sweep_kwargs)
         spot_key = (

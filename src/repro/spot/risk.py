@@ -4,9 +4,10 @@ The job needs ``work_hours`` of useful compute. Under a checkpoint
 policy with interval ``tau``, write cost ``c`` and restart overhead
 ``R``, the run is a sequence of *segments*: full segments of length
 ``tau + c`` (work plus the checkpoint write) and a final segment with no
-write. A preemption (exponential, rate ``lam`` per hour while running)
-loses the current segment's progress and costs ``R`` before the segment
-restarts.
+write. :func:`segment_lengths` returns them as at most two ``(length,
+count)`` groups, and every layer reads that form. A preemption
+(exponential, rate ``lam`` per hour while running) loses the current
+segment's progress and costs ``R`` before the segment restarts.
 
 **Layer 1 — closed-form moments.** A segment of length ``s`` succeeds
 per attempt with probability ``p = e^{-lam s}``; summing the geometric
@@ -17,19 +18,23 @@ attempts and the truncated-exponential failure times collapses to
 whose ``lam -> 0`` limit is ``s``, and the expected makespan is the sum
 over segments. Expected preemptions per segment are ``e^{lam s} - 1``.
 This is the classical Daly-style checkpoint/restart expectation, kept
-exact per segment rather than first-order.
+exact per segment rather than first-order. Each term is evaluated once
+per group; the sum runs over the terms repeated per segment, so it keeps
+the rounding of a segment-by-segment sum.
 
 **Layer 2 — the analytic distribution (serving path).** The same
 segment process has an exact *distribution*, not just a mean: per
 segment the excess over ``s`` is a geometric number of failures, each
 costing a truncated-exponential wait plus ``R``. Segments are
 independent, so the total-excess characteristic function is the product
-of per-segment CFs (grouped by distinct segment length and raised to
-integer powers), and :class:`AnalyticMakespanDistribution` inverts that
-product on a fixed grid with one inverse FFT. p50/p95 and
+of per-segment CFs: one CF per ``(length, count)`` group on the
+4096-point grid, raised to its count. :class:`AnalyticMakespanDistribution`
+inverts that product with one inverse FFT. p50/p95 and
 ``completion_probability(deadline)`` therefore need **no sampling** —
-this is the planner's default (``--risk-mode analytic``). On planner
-workloads (hundreds of segments, moderate hazard) the analytic
+this is the planner's default (``--risk-mode analytic``). A
+distribution keeps only its grid: every percentile or deadline is read
+off it per call, so asking one distribution many deadlines grows
+nothing. On planner workloads (hundreds of segments, moderate hazard) the analytic
 percentiles agree with a 512-trial Monte Carlo within ~5% (p50/p95); the
 property tests in ``tests/test_spot.py`` pin that tolerance.
 
@@ -59,11 +64,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .checkpoint import CheckpointPolicy
+
+#: A run's segments as ``(length, count)`` groups in segment order (see
+#: :func:`segment_lengths`).
+Segments = List[Tuple[float, int]]
 
 DEFAULT_TRIALS = 512
 
@@ -83,20 +92,23 @@ MAX_BLOCK_ATTEMPTS = 4096
 MAX_BLOCK_SAMPLES = 2_000_000
 
 
-def segment_lengths(work_hours: float, policy: CheckpointPolicy) -> List[float]:
-    """The run's segment lengths, checkpoint writes included.
+def segment_lengths(work_hours: float, policy: CheckpointPolicy) -> Segments:
+    """The run's segments as ``(length, count)`` groups, in segment order,
+    checkpoint writes included.
 
     Full segments are ``tau + c``; the final segment omits the write
-    (there is nothing left to protect). An interval longer than the job
-    degenerates to a single write-free segment of the whole job — the
-    policy quietly stops mattering, it does not fail.
+    (there is nothing left to protect), so a run has at most two groups:
+    the full segments, then the final one (merged into the first when
+    the lengths are equal). An interval longer than the job degenerates
+    to a single write-free segment of the whole job — the policy quietly
+    stops mattering, it does not fail.
     """
     if work_hours < 0:
         raise ValueError(f"work_hours must be >= 0, got {work_hours}")
     if work_hours == 0:
         return []
     if not math.isfinite(work_hours):
-        return [work_hours]
+        return [(work_hours, 1)]
     tau = policy.interval_hours
     n_full = int(work_hours // tau)
     remainder = work_hours - n_full * tau
@@ -113,7 +125,12 @@ def segment_lengths(work_hours: float, policy: CheckpointPolicy) -> List[float]:
         # Work divides evenly; the last full interval is the final segment.
         n_full -= 1
         remainder = tau
-    return [tau + policy.write_hours] * n_full + [remainder]
+    full = tau + policy.write_hours
+    if n_full == 0:
+        return [(remainder, 1)]
+    if remainder == full:
+        return [(full, n_full + 1)]
+    return [(full, n_full), (remainder, 1)]
 
 
 def _expm1_or_inf(x: float) -> float:
@@ -129,21 +146,40 @@ def _expm1_or_inf(x: float) -> float:
 def _resolve_segments(
     work_hours: float,
     policy: CheckpointPolicy,
-    segments: Optional[Sequence[float]],
-) -> List[float]:
+    segments: Optional[Segments],
+) -> Segments:
     """``segments`` when the caller already computed them (the planner
     prices several estimators per candidate and passes one shared list),
     else a fresh :func:`segment_lengths`."""
-    if segments is not None:
-        return list(segments)
-    return segment_lengths(work_hours, policy)
+    return segment_lengths(work_hours, policy) if segments is None else segments
+
+
+def _per_segment(
+    segments: Segments, values: Optional[Sequence[float]] = None
+) -> np.ndarray:
+    """One entry per segment: each group's value (by default its length)
+    repeated ``count`` times."""
+    if values is None:
+        values = [s for s, _ in segments]
+    return np.repeat(np.asarray(values, dtype=float), [count for _, count in segments])
+
+
+def _sum_over_segments(segments: Segments, term: Callable[[float], float]) -> float:
+    """``sum(term(s) for each segment s)``, evaluating ``term`` once per
+    group. The cumulative sum over the per-segment terms keeps the
+    left-to-right rounding of summing segment by segment, so the result
+    is bit-identical to the per-segment walk (``count * term`` is not)."""
+    if not segments:
+        return 0.0
+    terms = _per_segment(segments, [term(s) for s, _ in segments])
+    return float(np.cumsum(terms)[-1])
 
 
 def expected_makespan_hours(
     work_hours: float,
     rate_per_hour: float,
     policy: CheckpointPolicy,
-    segments: Optional[Sequence[float]] = None,
+    segments: Optional[Segments] = None,
 ) -> float:
     """Closed-form expected wall-clock hours to finish ``work_hours``."""
     if rate_per_hour < 0:
@@ -151,9 +187,9 @@ def expected_makespan_hours(
     if rate_per_hour == 0:
         return work_hours  # no hazard -> no checkpoints, on-demand makespan
     factor = 1.0 / rate_per_hour + policy.restart_hours
-    return sum(
-        factor * _expm1_or_inf(rate_per_hour * s)
-        for s in _resolve_segments(work_hours, policy, segments)
+    return _sum_over_segments(
+        _resolve_segments(work_hours, policy, segments),
+        lambda s: factor * _expm1_or_inf(rate_per_hour * s),
     )
 
 
@@ -161,38 +197,22 @@ def expected_preemptions(
     work_hours: float,
     rate_per_hour: float,
     policy: CheckpointPolicy,
-    segments: Optional[Sequence[float]] = None,
+    segments: Optional[Segments] = None,
 ) -> float:
     """Closed-form expected preemption count over the whole run."""
     if rate_per_hour < 0:
         raise ValueError(f"rate_per_hour must be >= 0, got {rate_per_hour}")
     if rate_per_hour == 0:
         return 0.0
-    return sum(
-        _expm1_or_inf(rate_per_hour * s)
-        for s in _resolve_segments(work_hours, policy, segments)
+    return _sum_over_segments(
+        _resolve_segments(work_hours, policy, segments),
+        lambda s: _expm1_or_inf(rate_per_hour * s),
     )
 
 
 # ---------------------------------------------------------------------------
 # Layer 2: the analytic makespan distribution
 # ---------------------------------------------------------------------------
-
-
-def _grouped_segments(segments: Sequence[float]) -> List[Tuple[float, int]]:
-    """Distinct segment lengths with multiplicities, in first-seen order.
-
-    A run has at most two distinct lengths (``tau + c`` repeated, then
-    the final write-free remainder), so grouping turns an O(#segments)
-    CF product into O(2) complex powers.
-    """
-    grouped: List[Tuple[float, int]] = []
-    for s in segments:
-        if grouped and grouped[-1][0] == s:
-            grouped[-1] = (s, grouped[-1][1] + 1)
-        else:
-            grouped.append((s, 1))
-    return grouped
 
 
 def _segment_excess_moments(
@@ -250,12 +270,13 @@ class AnalyticMakespanDistribution:
 
     The total makespan is ``T = sum(segments) + E`` where the excess
     ``E`` is a sum of independent per-segment compound-geometric terms.
-    The constructor multiplies the per-segment excess CFs (grouped by
-    distinct length), inverts the product with one ``numpy.fft.ifft`` on
+    The constructor multiplies the excess CFs of the ``(length, count)``
+    groups, each raised to its count, inverts the product with one FFT on
     a ``grid_size``-point grid spanning ``[0, mean + TAIL_SIGMAS *
     std]`` of the excess (both from the exact moments), and keeps the
     resulting CDF. ``percentile``/``completion_probability`` then read
-    the grid — microseconds per candidate, versus a full Monte Carlo.
+    the grid on every call — microseconds per candidate, versus a full
+    Monte Carlo — and store nothing per quantile or deadline.
 
     Degenerate regimes (the closed-form mean exceeds
     ``max_makespan_hours``, or the excess variance overflows: the job
@@ -273,7 +294,7 @@ class AnalyticMakespanDistribution:
         work_hours: float,
         rate_per_hour: float,
         policy: CheckpointPolicy,
-        segments: Optional[Sequence[float]] = None,
+        segments: Optional[Segments] = None,
         grid_size: int = GRID_SIZE,
         max_makespan_hours: float = DEFAULT_MAX_MAKESPAN_HOURS,
     ) -> None:
@@ -283,11 +304,6 @@ class AnalyticMakespanDistribution:
             raise ValueError(f"grid_size must be >= 16, got {grid_size}")
         self.work_hours = work_hours
         self.rate_per_hour = rate_per_hour
-        # Memoized reads: one distribution instance is shared by every
-        # warm plan via the risk cache, so repeated percentile/deadline
-        # lookups should cost a dict probe, not a grid search.
-        self._percentiles: Dict[float, float] = {}
-        self._completions: Dict[float, float] = {}
         self._point: Optional[float] = None
         self._degenerate = False
         self._start = 0.0
@@ -313,17 +329,16 @@ class AnalyticMakespanDistribution:
             self._degenerate = True
             return
         restart = policy.restart_hours
-        grouped = _grouped_segments(segs)
         mean_exc = 0.0
         var_exc = 0.0
-        for s, count in grouped:
+        for s, count in segs:
             m, v = _segment_excess_moments(s, rate_per_hour, restart)
             mean_exc += count * m
             var_exc += count * v
         if not math.isfinite(var_exc):
             self._degenerate = True
             return
-        t_min = math.fsum(segs)
+        t_min = math.fsum(_per_segment(segs).tolist())
         if var_exc == 0.0 and mean_exc == 0.0:
             self._point = t_min
             return
@@ -336,7 +351,7 @@ class AnalyticMakespanDistribution:
         # phi(w), so the inversion below stays Hermitian and real.
         omega = 2.0 * math.pi * np.fft.fftfreq(grid_size, d=dt)
         phi = np.ones(grid_size, dtype=complex)
-        for s, count in grouped:
+        for s, count in segs:
             phi *= _segment_excess_cf(omega, s, rate_per_hour, restart) ** count
         # fft (e^{-i omega t}), not ifft: phi is E[e^{+i omega T}], so
         # recovering the density needs the conjugate transform.
@@ -365,13 +380,9 @@ class AnalyticMakespanDistribution:
             return math.inf
         if self._point is not None:
             return self._point
-        cached = self._percentiles.get(q)
-        if cached is None:
-            idx = int(np.searchsorted(self._cdf, q, side="left"))
-            idx = min(idx, len(self._cdf) - 1)
-            cached = self._start + idx * self._dt
-            self._percentiles[q] = cached
-        return cached
+        idx = int(np.searchsorted(self._cdf, q, side="left"))
+        idx = min(idx, len(self._cdf) - 1)
+        return self._start + idx * self._dt
 
     @property
     def p50_hours(self) -> float:
@@ -392,19 +403,15 @@ class AnalyticMakespanDistribution:
             return 1.0 if deadline_hours >= self._point else 0.0
         if deadline_hours < self._start:
             return 0.0
-        cached = self._completions.get(deadline_hours)
-        if cached is None:
-            cdf = self._cdf
-            pos = (deadline_hours - self._start) / self._dt
-            idx = int(pos)
-            if idx >= len(cdf) - 1:
-                value = float(cdf[-1])
-            else:  # linear interpolation between the bracketing grid points
-                frac = pos - idx
-                value = float(cdf[idx] + frac * (cdf[idx + 1] - cdf[idx]))
-            cached = min(1.0, value)
-            self._completions[deadline_hours] = cached
-        return cached
+        cdf = self._cdf
+        pos = (deadline_hours - self._start) / self._dt
+        idx = int(pos)
+        if idx >= len(cdf) - 1:
+            value = float(cdf[-1])
+        else:  # linear interpolation between the bracketing grid points
+            frac = pos - idx
+            value = float(cdf[idx] + frac * (cdf[idx + 1] - cdf[idx]))
+        return min(1.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +552,7 @@ class SpotSimulator:
         rate_per_hour: float,
         policy: CheckpointPolicy,
         seed: Optional[int] = None,
-        segments: Optional[Sequence[float]] = None,
+        segments: Optional[Segments] = None,
     ) -> MakespanDistribution:
         """Sample ``trials`` makespans; ``seed`` overrides the default."""
         if rate_per_hour < 0:
@@ -562,8 +569,8 @@ class SpotSimulator:
             )
         rng = np.random.default_rng(self.seed if seed is None else seed)
         restart = policy.restart_hours
-        n, m = self.trials, len(segs)
-        seg_arr = np.asarray(segs, dtype=float)
+        seg_arr = _per_segment(segs)
+        n, m = self.trials, len(seg_arr)
         # Per-(trial, segment) state, flat C-order views for pair updates.
         fail_time = np.zeros((n, m))
         fail_count = np.zeros((n, m), dtype=np.int64)

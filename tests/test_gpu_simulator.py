@@ -36,8 +36,9 @@ class TestTraceStructure:
         assert "demo" in text and "MoE share" in text
 
     def test_throughput_sweep(self, sim):
-        sweep = sim.throughput_sweep(MIXTRAL_8X7B, [1, 2, 4], 128)
-        assert list(sweep) == [1, 2, 4]
+        for batch in (1, 2, 4):
+            trace = sim.simulate_step(MIXTRAL_8X7B, batch, 128)
+            assert sim.throughput(MIXTRAL_8X7B, batch, 128) == trace.queries_per_second
 
     def test_custom_overheads(self):
         fast = GPUSimulator(A40, overheads={"mixtral": SoftwareOverhead(0, 0, 0)})

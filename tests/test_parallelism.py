@@ -285,8 +285,11 @@ class TestScenarioStrategyAxis:
         assert self.scenario(strategy="tp4-ga2").label() == "mixtral_S4_x8_tp4-ga2_NVLink"
 
     def test_estimate_uses_the_strategy(self):
-        cache = SimulationCache()
-        estimate = self.scenario(strategy="tp4").estimate(cache)
+        point = self.scenario(strategy="tp4")
+        estimate = estimate_from_trace(
+            MIXTRAL_8X7B, SimulationCache().simulate(point), point.num_gpus,
+            point.interconnect_spec, strategy=point.strategy_spec,
+        )
         assert estimate.tensor_parallel == 4
         assert estimate.data_parallel == 2
 

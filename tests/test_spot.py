@@ -2,7 +2,10 @@
 
 import json
 import math
+import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cloud.pricing import DEFAULT_CATALOG, GPUPrice, PriceCatalog
@@ -26,18 +29,28 @@ from repro.spot import (
     restart_state_gb,
     segment_lengths,
 )
+from repro.spot import planner as spot_planner
 from repro.spot.plan import main as plan_main
 
+GOLDEN_DIR = Path(__file__).parent / "data"
 
-def neutral_catalog() -> PriceCatalog:
-    """The default on-demand prices with a spot tier at the *same* rates
-    — isolates the risk model from the discount."""
+
+def discounted_catalog(fraction: float) -> PriceCatalog:
+    """The default on-demand prices with a spot tier at ``fraction`` of
+    each rate."""
     prices = [
         GPUPrice(gpu, provider, DEFAULT_CATALOG.dollars_per_hour(gpu, provider))
         for provider in DEFAULT_CATALOG.providers()
         for gpu in DEFAULT_CATALOG.gpus(provider)
     ]
-    return PriceCatalog(prices, spot_prices=prices)
+    spot = [GPUPrice(p.gpu_name, p.provider, p.dollars_per_hour * fraction) for p in prices]
+    return PriceCatalog(prices, spot_prices=spot)
+
+
+def neutral_catalog() -> PriceCatalog:
+    """Spot at the *same* rates as on-demand — isolates the risk model
+    from the discount."""
+    return discounted_catalog(1.0)
 
 
 def policy(minutes=30.0, write_s=10.0, restart_s=120.0) -> CheckpointPolicy:
@@ -172,18 +185,24 @@ class TestHazardClosedForm:
         p = policy(minutes=30.0, write_s=36.0)  # tau=0.5h, c=0.01h
         assert segment_lengths(0.0, p) == []
         # Interval longer than the job: one write-free segment.
-        assert segment_lengths(0.3, p) == [0.3]
+        assert segment_lengths(0.3, p) == [(0.3, 1)]
         # Exact division: the last interval is the final (write-free) one.
-        lengths = segment_lengths(1.0, p)
-        assert lengths == pytest.approx([0.51, 0.5])
+        (full, n_full), (final, n_final) = segment_lengths(1.0, p)
+        assert (full, n_full, final, n_final) == pytest.approx((0.51, 1, 0.5, 1))
         # Remainder: full segments carry the write, the tail does not.
-        lengths = segment_lengths(1.25, p)
-        assert lengths == pytest.approx([0.51, 0.51, 0.25])
+        (full, n_full), (final, n_final) = segment_lengths(1.25, p)
+        assert (full, n_full, final, n_final) == pytest.approx((0.51, 2, 0.25, 1))
         # Work is conserved regardless of structure.
         for work in (0.3, 1.0, 1.25, 7.77):
-            total = sum(segment_lengths(work, p))
-            writes = sum(1 for s in segment_lengths(work, p)) - 1
+            groups = segment_lengths(work, p)
+            total = sum(s * count for s, count in groups)
+            writes = sum(count for _, count in groups) - 1
             assert total == pytest.approx(work + max(0, writes) * p.write_hours)
+
+    def test_equal_lengths_merge_into_one_group(self):
+        # With a free write, an evenly divided job is n segments of tau.
+        p = policy(minutes=30.0, write_s=0.0)
+        assert segment_lengths(2.0, p) == [(0.5, 4)]
 
     def test_interval_longer_than_job_single_segment_formula(self):
         p = policy(minutes=600.0)  # 10h interval, 2h job
@@ -237,10 +256,10 @@ class TestHazardClosedForm:
         # The scenario is real only while the drift exceeds the old
         # absolute tolerance (guards the constants against bit-rot).
         assert residue > tau * 1e-9
-        lengths = segment_lengths(work, p)
-        assert len(lengths) == n
-        assert lengths[-1] == pytest.approx(tau)
-        assert min(lengths) > tau * 0.5  # no near-zero segment anywhere
+        groups = segment_lengths(work, p)
+        assert sum(count for _, count in groups) == n
+        assert groups[-1][0] == pytest.approx(tau)
+        assert min(s for s, _ in groups) > tau * 0.5  # no near-zero segment anywhere
         # And the preemption expectation matches the clean-division job.
         rate = 0.05
         assert expected_preemptions(work, rate, p) == pytest.approx(
@@ -252,9 +271,25 @@ class TestHazardClosedForm:
         # 1% of an interval is work, not float noise.
         p = policy(minutes=30.0, write_s=0.0)
         tau = p.interval_hours
-        lengths = segment_lengths(10 * tau + tau * 0.01, p)
-        assert len(lengths) == 11
-        assert lengths[-1] == pytest.approx(tau * 0.01)
+        groups = segment_lengths(10 * tau + tau * 0.01, p)
+        assert sum(count for _, count in groups) == 11
+        assert groups[-1] == (pytest.approx(tau * 0.01), 1)
+
+    @pytest.mark.parametrize("work,minutes", [(52.3, 2.0), (700.0, 7.0), (13.0, 30.0)])
+    def test_grouped_closed_forms_round_like_the_per_segment_sum(self, work, minutes):
+        """Plans are byte-stable only if the grouped closed forms round
+        exactly like a segment-by-segment sum (``count * term`` does not)."""
+        p = policy(minutes=minutes)
+        segments = [s for s, count in segment_lengths(work, p) for _ in range(count)]
+        assert len(segments) > 1
+        for rate in (0.05, 0.7, 3.0):
+            factor = 1.0 / rate + p.restart_hours
+            assert expected_makespan_hours(work, rate, p) == sum(
+                factor * math.expm1(rate * s) for s in segments
+            )
+            assert expected_preemptions(work, rate, p) == sum(
+                math.expm1(rate * s) for s in segments
+            )
 
 
 class TestSpotSimulator:
@@ -431,6 +466,23 @@ class TestAnalyticMakespanDistribution:
         assert values == sorted(values)
         assert values[0] >= 26.0  # never faster than the work itself
 
+    def test_many_deadlines_keep_no_per_deadline_state(self):
+        """Reads are stateless: 1,000 distinct deadlines and quantiles
+        leave the distribution byte-identical, and each completion
+        probability is the linear interpolation of the CDF grid."""
+        ana = AnalyticMakespanDistribution(26.0, 0.5, policy())
+        state = pickle.dumps(ana)
+        grid = ana._start + ana._dt * np.arange(len(ana._cdf))
+        deadlines = np.linspace(ana.percentile(0.001), ana.percentile(0.999), 1000)
+        assert len(set(deadlines.tolist())) == 1000
+        for deadline in deadlines.tolist():
+            assert ana.completion_probability(deadline) == pytest.approx(
+                float(np.interp(deadline, grid, ana._cdf)), abs=1e-12
+            )
+        for q in np.linspace(0.001, 0.999, 1000).tolist():
+            ana.percentile(q)
+        assert pickle.dumps(ana) == state
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AnalyticMakespanDistribution(10.0, -0.1, policy())
@@ -490,6 +542,55 @@ class TestRiskAdjustedPlanner:
         hopeless = self._plan(self._planner(mtbp_hours=1e-4))
         assert not hopeless.spot_candidates
         assert hopeless.excluded
+
+    def test_exclusion_comes_before_any_distribution(self, monkeypatch):
+        """A sweep miss makes one risk lookup, and builds one analytic
+        distribution, per admitted spot candidate and none for an excluded
+        one. A catalog that later admits the excluded candidates builds
+        each of their distributions exactly once and reuses the rest."""
+        looked_up, built = [], []
+        current = [None]
+
+        class Counting(AnalyticMakespanDistribution):
+            def __init__(self, *args, **kwargs):
+                built.append(current[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spot_planner, "AnalyticMakespanDistribution", Counting)
+
+        def spied(planner):
+            original = planner._risk_distributions
+
+            def risk_distributions(base, *args):
+                looked_up.append(base.label)
+                current[0] = base.label
+                return original(base, *args)
+
+            planner._risk_distributions = risk_distributions
+            return planner
+
+        cache = SimulationCache()
+        # At a 0.2 h MTBP half the candidates lose the discount to restarts.
+        plan = self._plan(spied(self._planner(cache=cache, mtbp_hours=0.2)))
+        admitted = {c.base.label for c in plan.spot_candidates}
+        excluded = {reason.split(":")[0] for reason in plan.excluded}
+        assert admitted and excluded and not admitted & excluded
+        assert sorted(looked_up) == sorted(built) == sorted(admitted)
+        stats = cache.stats()
+        assert (stats.risk_misses, stats.risk_hits) == (len(admitted), 0)
+
+        looked_up.clear()
+        built.clear()
+        cheap = self._plan(spied(self._planner(
+            cache=cache, mtbp_hours=0.2, catalog=discounted_catalog(0.05)
+        )))
+        readmitted = {c.base.label for c in cheap.spot_candidates}
+        assert excluded <= readmitted and admitted <= readmitted
+        assert sorted(looked_up) == sorted(readmitted)
+        assert sorted(built) == sorted(readmitted - admitted)
+        after = cache.stats()
+        assert after.risk_misses - stats.risk_misses == len(readmitted - admitted)
+        assert after.risk_hits - stats.risk_hits == len(admitted)
 
     def test_zero_hazard_neutral_prices_reproduce_ondemand_frontier(self):
         """Acceptance (b): with the preemption rate at zero and the spot
@@ -712,6 +813,25 @@ class TestSpotPlanCLI:
         return json.loads(out, parse_constant=lambda tok: pytest.fail(
             f"non-strict JSON token {tok!r} in --json output"
         ))
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["--model", "mixtral", "--gpu", "a40", "--deadline-hours", "24", "--json"],
+             "golden_spot_plan_mixtral_a40_deadline24.json"),
+            (["--model", "blackmamba", "--mtbp-hours", "4",
+              "--checkpoint-minutes", "30,60", "--json"],
+             "golden_spot_plan_blackmamba_mtbp4.json"),
+            (["--model", "mixtral", "--gpu", "a40", "--risk-mode", "mc",
+              "--trials", "64", "--json"],
+             "golden_spot_plan_mixtral_a40_mc64.json"),
+        ],
+    )
+    def test_plan_byte_identical_to_golden(self, capsys, argv, golden):
+        """The plan JSON matches the output captured before segments were
+        stored as (length, count) groups, byte for byte."""
+        assert plan_main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text()
 
     def test_acceptance_command(self, capsys):
         payload = self._payload(capsys, self.ACCEPTANCE)
