@@ -25,7 +25,6 @@ import argparse
 from typing import List, Optional, Type
 
 from ..serialization import dumps
-from ..telemetry import begin_telemetry, finish_telemetry
 from .request import (  # noqa: F401  (resolvers re-exported for callers of this CLI)
     DENSITIES,
     ClusterPlanRequest,
@@ -45,6 +44,8 @@ def run_cli(request_type: Type[ClusterPlanRequest], parser: argparse.ArgumentPar
             argv: Optional[List[str]]) -> int:
     """Parse ``argv`` into a ``request_type``, plan it and print the plan:
     the body of both plan CLIs."""
+    from ..telemetry.cli import begin_telemetry, finish_telemetry
+
     args = parser.parse_args(argv)
     try:
         request = request_type.from_args(args)

@@ -33,7 +33,6 @@ from ..gpu.multigpu import INTERCONNECTS
 from ..gpu.specs import GPU_REGISTRY
 from ..memory.estimator import EFFECTIVE_SEQ_LEN
 from ..models.registry import MODEL_REGISTRY
-from ..telemetry import add_telemetry_arguments
 from .planner import (
     DEFAULT_INTERCONNECTS,
     DEFAULT_MAX_TP,
@@ -251,6 +250,8 @@ class ClusterPlanRequest:
     @classmethod
     def build_parser(cls, description: str) -> argparse.ArgumentParser:
         """The CLI: one flag per field, then the telemetry and output flags."""
+        from ..telemetry.cli import add_telemetry_arguments
+
         parser = argparse.ArgumentParser(prog=f"python -m {cls.command}", description=description)
         for name, (opt, default) in _options(cls).items():
             kwargs = dict(dest=name, help=opt.help, choices=opt.choices)

@@ -9,18 +9,11 @@ training experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .datasets import (
-    EvalDataset,
-    SyntheticDataset,
-    build_commonsense15k,
-    build_gsm8k,
-    build_hellaswag,
-    build_math14k,
-)
-from .tokenizer import Vocabulary, build_vocabulary
-from .world import ArithmeticWorld, KnowledgeWorld
+if TYPE_CHECKING:
+    from .datasets import EvalDataset, SyntheticDataset
+    from .tokenizer import Vocabulary
 
 
 @dataclass(frozen=True)
@@ -83,6 +76,12 @@ def build_benchmark_suite(
     tiny-model training while preserving the distribution shape;
     ``train_size``/``eval_size`` override the paper-scale counts.
     """
+    # The builders load here, not with the module: the planners read
+    # DATASET_STATS and never build a dataset.
+    from .datasets import build_commonsense15k, build_gsm8k, build_hellaswag, build_math14k
+    from .tokenizer import build_vocabulary
+    from .world import ArithmeticWorld, KnowledgeWorld
+
     vocab = build_vocabulary()
     knowledge = KnowledgeWorld(vocab, seed=seed)
     arithmetic = ArithmeticWorld(vocab)

@@ -8,7 +8,8 @@ promoted to a machine check. The ``rationale`` strings double as the
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .framework import FileContext, Finding, Rule, rule
 
@@ -60,12 +61,16 @@ class ImportMap:
         chain.append(self.names.get(node.id, node.id))
         return ".".join(reversed(chain))
 
-    def imported_modules(self, ctx: FileContext) -> List[Tuple[str, ast.AST]]:
-        """Every imported module as its resolved dotted name + node."""
+    def imported_modules(
+        self, ctx: FileContext, module_level: bool = False
+    ) -> List[Tuple[str, ast.AST]]:
+        """Every imported module as its resolved dotted name + node.
+        ``module_level`` keeps only the imports that run when the module
+        is imported: none inside a function body."""
         parts = ctx.module.split(".") if ctx.module else []
         is_package = ctx.path.endswith("__init__.py")
         out: List[Tuple[str, ast.AST]] = []
-        for node in ast.walk(ctx.tree):
+        for node in _walk_module_level(ctx.tree) if module_level else ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     out.append((alias.name, node))
@@ -84,6 +89,19 @@ class ImportMap:
                 if origin:
                     out.append((origin, node))
         return out
+
+
+def _walk_module_level(tree: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` (same breadth-first order) that never enters a
+    function or lambda: the nodes executed when the module is imported."""
+    todo = deque([tree])
+    while todo:
+        node = todo.popleft()
+        yield node
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
 
 
 def _module_in(module: str, prefixes: Iterable[str]) -> bool:
@@ -585,14 +603,60 @@ SCENARIO_CONSUMERS = (
     "repro.service",
 )
 
-#: (low, high, why): no module under a ``low`` prefix imports one under
-#: a ``high`` prefix.
+#: What a plan runs on: the scenario engine, the analytic substrates, the
+#: planners and the service.
+PLANNING_LAYERS = (
+    "repro.scenarios",
+    "repro.gpu",
+    "repro.core",
+    "repro.memory",
+    "repro.cloud",
+    "repro.cluster",
+    "repro.spot",
+    "repro.service",
+)
+
+#: What no plan runs: the training stack, the dataset builders, the
+#: trainable models and telemetry's export, persistence and consume
+#: side. A planning module may still import one inside the function that
+#: uses it.
+PLAN_UNUSED = (
+    "repro.nn",
+    "repro.tensor",
+    "repro.quant",
+    "repro.optim",
+    "repro.training",
+    "repro.data.datasets",
+    "repro.data.dataloader",
+    "repro.data.tokenizer",
+    "repro.data.world",
+    "repro.data.distributions",
+    "repro.models.mixtral",
+    "repro.models.blackmamba",
+    "repro.telemetry.runstore",
+    "repro.telemetry.analyze",
+    "repro.telemetry.compare",
+    "repro.telemetry.cli",
+    "repro.telemetry.export",
+    "repro.telemetry.manifest",
+)
+
+#: (low, high, why, module_level): no module under a ``low`` prefix
+#: imports one under a ``high`` prefix. With ``module_level`` only the
+#: imports that run at import time count; otherwise an import inside a
+#: function counts too.
 LAYER_PAIRS = (
     (LOW_LAYERS, HIGH_LAYERS,
-     "substrates must stay importable without telemetry/experiments/CLI layers"),
+     "substrates must stay importable without telemetry/experiments/CLI layers",
+     False),
     (("repro.scenarios",), SCENARIO_CONSUMERS,
      "the scenario engine must stay importable without the experiments, "
-     "planners and service built on it"),
+     "planners and service built on it",
+     False),
+    (PLANNING_LAYERS, PLAN_UNUSED,
+     "the plan CLIs and the service must start without loading code no "
+     "plan runs; import it inside the function that needs it",
+     True),
 )
 
 
@@ -609,19 +673,24 @@ class ImportLayering(Rule):
         "repro.telemetry or an experiment/CLI module, or the engine "
         "importing one of its consumers (even inside a function), inverts "
         "the layering, drags the upper layer into every consumer of the "
-        "lower one, and invites import cycles."
+        "lower one, and invites import cycles. Separately, the planning "
+        "layers (the engine, gpu, core, memory, cloud, cluster, spot and "
+        "service) never import the training stack, the dataset builders, "
+        "the trainable models or telemetry's cli/export/manifest/runstore/"
+        "analyze/compare at module level, so the plan CLIs and the service "
+        "start without them; a function that needs one imports it inside."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         findings = []
-        for low, high, why in LAYER_PAIRS:
+        for low, high, why, module_level in LAYER_PAIRS:
             if not _module_in(ctx.module, low):
                 continue
             # One finding per import statement: ``from repro.telemetry
             # import Tracer`` resolves to both the module and the bound
             # name — keep the shortest matching target per node.
             per_node: Dict[Tuple[int, str], Tuple[str, ast.AST]] = {}
-            for target, node in ImportMap(ctx).imported_modules(ctx):
+            for target, node in ImportMap(ctx).imported_modules(ctx, module_level):
                 if not _module_in(target, high):
                     continue
                 key = (id(node), ".".join(target.split(".")[:2]))

@@ -4,9 +4,16 @@ Paper-scale configs (:data:`MIXTRAL_8X7B`, :data:`BLACKMAMBA_2_8B`) are
 used analytically — parameter counts, memory, FLOPs. Tiny configs
 (:data:`MIXTRAL_TINY`, :data:`BLACKMAMBA_TINY`) instantiate real trainable
 models on the autograd engine for the accuracy and load-balance studies.
+
+The trainable models — ``BlackMambaModel``, ``MambaLayer``,
+``MoEFFNLayer``, ``MixtralBlock``, ``MixtralModel`` and
+``convert_to_qlora`` — are resolved on first access, so a planner that
+only reads configs and parameter counts never imports the autograd,
+layer and quantization stacks under them.
 """
 
-from .blackmamba import BlackMambaModel, MambaLayer, MoEFFNLayer
+from ..lazy import lazy_exports
+
 from .config import (
     BLACKMAMBA_2_8B,
     BLACKMAMBA_TINY,
@@ -16,7 +23,6 @@ from .config import (
     MixtralConfig,
     MoESettings,
 )
-from .mixtral import MixtralBlock, MixtralModel, convert_to_qlora
 from .params import (
     GB,
     ParamBreakdown,
@@ -29,6 +35,16 @@ from .params import (
     weight_bytes_per_param,
 )
 from .registry import MODEL_REGISTRY, ModelSpec, get_model_spec
+
+#: Name → submodule for the names resolved on first access.
+_LAZY = {
+    "BlackMambaModel": ".blackmamba",
+    "MambaLayer": ".blackmamba",
+    "MoEFFNLayer": ".blackmamba",
+    "MixtralBlock": ".mixtral",
+    "MixtralModel": ".mixtral",
+    "convert_to_qlora": ".mixtral",
+}
 
 __all__ = [
     "BLACKMAMBA_2_8B",
@@ -57,3 +73,6 @@ __all__ = [
     "trainable_parameters",
     "weight_bytes_per_param",
 ]
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY, ("blackmamba", "mixtral"))

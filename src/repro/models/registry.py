@@ -7,7 +7,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .blackmamba import BlackMambaModel
 from .config import (
     BLACKMAMBA_2_8B,
     BLACKMAMBA_TINY,
@@ -17,7 +16,6 @@ from .config import (
     MixtralConfig,
 )
 from .params import model_memory_gb, param_breakdown, trainable_parameters
-from .mixtral import MixtralModel
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -56,7 +54,11 @@ class ModelSpec:
                 "instantiate a tiny spec for actual training"
             )
         if isinstance(self.config, MixtralConfig):
+            from .mixtral import MixtralModel
+
             return MixtralModel(self.config, finetune_mode=self.finetune_method, rng=rng)
+        from .blackmamba import BlackMambaModel
+
         return BlackMambaModel(self.config, rng=rng)
 
 

@@ -290,6 +290,21 @@ class SimulationCache:
             event.set()
 
     # ------------------------------------------------------------------
+    def counts(self) -> Tuple[int, int, int, int, int, int]:
+        """``(simulations, hits, misses, risk_hits, risk_misses,
+        evictions)`` as they stand: six counter reads, with neither the
+        cache lock nor the table counts that :meth:`stats` takes. The
+        planning service forms each response's ``engine`` deltas from
+        two of these."""
+        return (
+            self._simulations.value,
+            self._hits.value,
+            self._misses.value,
+            self._risk_hits.value,
+            self._risk_misses.value,
+            self._evictions.value,
+        )
+
     def stats(self) -> CacheStats:
         with self._lock:
             entries = len(self._traces)

@@ -32,6 +32,7 @@ The service is deliberately stdlib-only (``http.server``): the repo's
 no-new-dependencies rule applies to the serving layer too.
 """
 
+from ..lazy import lazy_exports
 from .app import PlanningService, RequestError
 from .catalog import DEFAULT_TTL_SECONDS, PricingCatalog
 
@@ -44,12 +45,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # ``serve`` is imported on first use, not here: an eager import would
-    # put it in sys.modules before ``python -m repro.service.serve`` runs
-    # it as __main__, and runpy would execute the module twice.
-    if name == "make_server":
-        from .serve import make_server
-
-        return make_server
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# ``serve`` is imported on first use, not here: an eager import would
+# put it in sys.modules before ``python -m repro.service.serve`` runs
+# it as __main__, and runpy would execute the module twice.
+__getattr__, __dir__ = lazy_exports(globals(), {"make_server": ".serve"})

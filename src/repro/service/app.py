@@ -69,8 +69,6 @@ from ..cluster.request import ClusterPlanRequest, RequestError
 from ..scenarios import SimulationCache, SingleFlight
 from ..serialization import dumps
 from ..spot.request import SpotPlanRequest
-from ..telemetry.export import metric_events, telemetry_block, write_events
-from ..telemetry.manifest import build_manifest
 from ..telemetry.metrics import MetricsRegistry, merge_snapshots
 from ..telemetry.tracer import Tracer
 from .catalog import PricingCatalog
@@ -226,7 +224,7 @@ class PlanningService:
     ) -> str:
         kind = request.kind
         tracer = Tracer(enabled=self._traced)
-        before = self.cache.stats()
+        before = self.cache.counts()
         with tracer.span("service.request", kind=kind, digest=digest[:16]):
             with tracer.span("service.plan_memo"):
                 prefix, plan_text, grid = self.cache.memoize(
@@ -236,27 +234,18 @@ class PlanningService:
                         *self._plan_entry(request, catalog, tracer),
                     ),
                 )
-        after = self.cache.stats()
+        after = self.cache.counts()
         flag = "true" if stale else "false"
         # The response is dumps(head + plan [+ telemetry], indent=2),
         # assembled by position from the memoized prefix, this request's
         # values in _HEAD_TAIL and the memoized plan text.
         parts = [
             prefix,
-            _HEAD_TAIL % (
-                flag,
-                flag,
-                after.simulations - before.simulations,
-                after.hits - before.hits,
-                after.misses - before.misses,
-                after.risk_hits - before.risk_hits,
-                after.risk_misses - before.risk_misses,
-                after.evictions - before.evictions,
-            ),
+            _HEAD_TAIL % (flag, flag, *(a - b for a, b in zip(after, before))),
             plan_text,
         ]
         if self._traced:
-            telemetry = self._export_telemetry(kind, echo, tracer, after, grid)
+            telemetry = self._export_telemetry(kind, echo, tracer, self.cache.stats(), grid)
             parts += [',\n  "telemetry": ', _member_text(telemetry)]
         parts.append("\n}")
         return "".join(parts)
@@ -277,7 +266,12 @@ class PlanningService:
     def _export_telemetry(self, kind, request, tracer, stats, grid):
         """Mirror ``finish_telemetry`` per request: manifest from the
         cache's own accounting, JSONL rewrite, run-store ingest, and the
-        response's telemetry block. ``grid`` is the plan's grid digest."""
+        response's telemetry block. ``grid`` is the plan's grid digest.
+        The exporters and manifest load on the first traced request, so
+        an untraced service never imports them."""
+        from ..telemetry.export import metric_events, telemetry_block, write_events
+        from ..telemetry.manifest import build_manifest
+
         snapshot = merge_snapshots(self.cache.metrics.snapshot(), self.metrics.snapshot())
         manifest = build_manifest(
             f"repro.service.plan_{kind}", request, tracer, stats, grid=grid

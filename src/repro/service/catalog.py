@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.request
 from typing import Callable, Dict, Optional, Tuple
 
 from ..cloud.pricing import DEFAULT_CATALOG, PriceCatalog
@@ -50,6 +49,10 @@ def fetch_feed(feed: str) -> object:
     (:meth:`PricingCatalog.refresh`) turns that into a recorded failure."""
     feed = str(feed)
     if feed.startswith(("http://", "https://")):
+        # Loaded for an http(s) feed only: urllib.request pulls in
+        # http.client and ssl, which a file feed never needs.
+        import urllib.request
+
         with urllib.request.urlopen(feed, timeout=FEED_TIMEOUT_SECONDS) as response:
             return json.loads(response.read().decode("utf-8"))
     with open(feed, "r", encoding="utf-8") as handle:

@@ -29,7 +29,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 
 from ..serialization import dumps
-from ..telemetry.runstore import resolve_run_store
 from .app import PlanningService, RequestError
 from .catalog import DEFAULT_TTL_SECONDS, PricingCatalog
 
@@ -184,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from ..telemetry.cli import resolve_run_store
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

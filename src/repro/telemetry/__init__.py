@@ -32,22 +32,28 @@ through the scenario engine, both planners and the three CLIs:
 With every flag off the subsystem is inert: the default tracer hands
 out no-op spans, and the CLIs' output stays byte-identical to the
 pre-telemetry contract.
+
+Only :mod:`~repro.telemetry.metrics` and :mod:`~repro.telemetry.tracer`
+load with the package: an untraced plan needs the no-op tracer and the
+cache's counters, nothing else. The CLI wiring (``add_telemetry_arguments``,
+``begin_telemetry``, ``finish_telemetry``, ``telemetry_enabled``), the
+exporters (``metric_events``, ``telemetry_block``, ``write_events``), the
+manifest (``build_manifest``, ``grid_digest``, ``repo_version``,
+``version_info``), the run store (``RunRecord``, ``RunStore``,
+``load_run``, ``resolve_run_store``) and the schema (``SCHEMA_VERSION``,
+``SchemaError``, ``validate_event``, ``validate_file``) — and the
+submodules ``cli``, ``export``, ``manifest``, ``runstore`` and
+``schema`` themselves — are resolved on first access.
 """
 
 # The analyzer CLIs (`python -m repro.telemetry.analyze` / `.compare`)
-# are deliberately NOT imported here — mirroring how `repro.spot` leaves
+# are deliberately NOT resolved here — mirroring how `repro.spot` leaves
 # `repro.spot.plan` to runpy — so `-m` execution stays warning-free.
 # Import their library surface via the submodules:
 #   from repro.telemetry.analyze import analyze_run, critical_path, ...
 #   from repro.telemetry.compare import compare_runs, phase_deltas, ...
-from .cli import (
-    add_telemetry_arguments,
-    begin_telemetry,
-    finish_telemetry,
-    telemetry_enabled,
-)
-from .export import metric_events, telemetry_block, write_events
-from .manifest import build_manifest, grid_digest, repo_version, version_info
+from ..lazy import lazy_exports
+
 from .metrics import (
     BUCKET_BOUNDS,
     Counter,
@@ -57,8 +63,6 @@ from .metrics import (
     merge_snapshots,
     quantile_from_buckets,
 )
-from .runstore import RunRecord, RunStore, load_run, resolve_run_store
-from .schema import SCHEMA_VERSION, SchemaError, validate_event, validate_file
 from .tracer import (
     Span,
     Tracer,
@@ -66,6 +70,30 @@ from .tracer import (
     reset_default_tracer,
     resolve_tracer,
 )
+
+#: Name → submodule for the names resolved on first access.
+_LAZY = {
+    "add_telemetry_arguments": ".cli",
+    "begin_telemetry": ".cli",
+    "finish_telemetry": ".cli",
+    "telemetry_enabled": ".cli",
+    "metric_events": ".export",
+    "telemetry_block": ".export",
+    "write_events": ".export",
+    "build_manifest": ".manifest",
+    "grid_digest": ".manifest",
+    "repo_version": ".manifest",
+    "version_info": ".manifest",
+    "RunRecord": ".runstore",
+    "RunStore": ".runstore",
+    "load_run": ".runstore",
+    "resolve_run_store": ".cli",
+    "SCHEMA_VERSION": ".schema",
+    "SchemaError": ".schema",
+    "validate_event": ".schema",
+    "validate_file": ".schema",
+}
+
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -100,3 +128,8 @@ __all__ = [
     "version_info",
     "write_events",
 ]
+
+
+__getattr__, __dir__ = lazy_exports(
+    globals(), _LAZY, ("cli", "export", "manifest", "runstore", "schema")
+)

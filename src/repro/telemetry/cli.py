@@ -32,14 +32,22 @@ Usage in a CLI ``main``::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
-from .export import metric_events, telemetry_block, write_events
-from .manifest import build_manifest
-from .runstore import resolve_run_store
 from .tracer import Tracer, default_tracer
+
+if TYPE_CHECKING:
+    from .runstore import RunStore
+
+StorePath = Union[str, Path]
+
+#: The environment variable that names a run store when ``--run-store``
+#: does not.
+ENV_RUN_STORE = "REPRO_RUN_STORE"
 
 
 def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
@@ -59,11 +67,27 @@ def add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_RUN_STORE if set, else no recording)")
 
 
+def _run_store_root(run_store: Optional[StorePath]) -> Optional[StorePath]:
+    return run_store if run_store else os.environ.get(ENV_RUN_STORE) or None
+
+
+def resolve_run_store(run_store: Optional[StorePath] = None) -> Optional[RunStore]:
+    """The store for an explicit ``--run-store`` value, else for
+    ``$REPRO_RUN_STORE``, else ``None`` (no run recording). The run
+    store module loads only when a store is named."""
+    root = _run_store_root(run_store)
+    if root is None:
+        return None
+    from .runstore import RunStore
+
+    return RunStore(root)
+
+
 def telemetry_enabled(args: argparse.Namespace) -> bool:
     return bool(
         getattr(args, "telemetry", False)
         or getattr(args, "telemetry_out", None)
-        or resolve_run_store(getattr(args, "run_store", None)) is not None
+        or _run_store_root(getattr(args, "run_store", None))
     )
 
 
@@ -98,6 +122,9 @@ def finish_telemetry(
     """
     if not telemetry_enabled(args):
         return None
+    from .export import metric_events, telemetry_block, write_events
+    from .manifest import build_manifest
+
     tracer = default_tracer()
     grid = grid() if grid is not None else None
     metrics_snapshot = cache.metrics.snapshot()

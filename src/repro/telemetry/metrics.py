@@ -61,8 +61,9 @@ class Counter:
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        # One attribute read is atomic; the lock only keeps inc()'s
+        # read-modify-write from losing an update.
+        return self._value
 
     def reset(self) -> None:
         with self._lock:

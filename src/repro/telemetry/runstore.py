@@ -32,9 +32,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+# Resolution lives with the CLI wiring, which decides it without
+# importing this module; it is re-exported here for the analyzers.
+from .cli import ENV_RUN_STORE, resolve_run_store  # noqa: F401
 from .schema import validate_event, validate_file
 
-ENV_RUN_STORE = "REPRO_RUN_STORE"
 INDEX_NAME = "index.jsonl"
 RUNS_DIR = "runs"
 
@@ -275,15 +277,6 @@ class RunStore:
         with open(self.index_path, "a", encoding="utf-8") as handle:
             handle.write(record.to_line())
             handle.write("\n")
-
-
-def resolve_run_store(
-    run_store: Optional[Union[str, Path]] = None
-) -> Optional[RunStore]:
-    """The store for an explicit ``--run-store`` value, else for
-    ``$REPRO_RUN_STORE``, else ``None`` (no run recording)."""
-    root = run_store if run_store else os.environ.get(ENV_RUN_STORE)
-    return RunStore(root) if root else None
 
 
 def load_run(

@@ -1,5 +1,6 @@
 """Tests for the analytical models (Eq. 1, Eq. 2) and their fitting."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -206,3 +207,63 @@ def test_plan_entry_points_leave_scipy_optimize_unimported():
                          env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _modules_after(statement):
+    """The sorted ``sys.modules`` keys of a fresh interpreter that ran
+    ``statement``."""
+    code = f"import sys\n{statement}\nprint('\\n'.join(sorted(sys.modules)))\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+#: Code no plan runs: the training stack, the trainable models, the
+#: dataset builders and telemetry's export, persistence and consume side.
+PLAN_UNUSED_PREFIXES = ("repro.nn", "repro.tensor", "repro.quant", "repro.optim",
+                        "repro.training")
+PLAN_UNUSED_MODULES = (
+    "repro.models.mixtral",
+    "repro.models.blackmamba",
+    *(f"repro.data.{name}" for name in
+      ("datasets", "dataloader", "tokenizer", "world", "distributions")),
+    *(f"repro.telemetry.{name}" for name in
+      ("cli", "export", "manifest", "runstore", "schema", "analyze", "compare")),
+)
+
+
+def test_plan_entry_points_load_no_training_or_telemetry_consume_code():
+    """The plan CLIs and the service start without the code no plan
+    runs; the package ``__init__``s resolve those names on first use."""
+    loaded = _modules_after("import repro.service.serve, repro.cluster.plan, repro.spot.plan")
+    unused = [
+        name for name in loaded
+        if name in PLAN_UNUSED_MODULES
+        or any(name == p or name.startswith(p + ".") for p in PLAN_UNUSED_PREFIXES)
+    ]
+    assert unused == []
+    assert "repro.models.registry" in loaded and "repro.data.registry" in loaded
+
+
+def test_service_starts_without_urllib_request_or_subprocess():
+    """A file or built-in pricing feed never needs ``urllib.request``, and
+    only a traced run's manifest needs ``subprocess``."""
+    loaded = _modules_after("import repro.service.serve")
+    assert "urllib.request" not in loaded
+    assert "subprocess" not in loaded
+
+
+@pytest.mark.parametrize("package", ["repro.models", "repro.data", "repro.telemetry"])
+def test_every_exported_name_resolves_once(package):
+    """Lazily resolved or not, every ``__all__`` name reads back from the
+    package (and shows in ``dir()``), and no name is listed twice."""
+    module = importlib.import_module(package)
+    assert len(module.__all__) == len(set(module.__all__))
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in dir(module), name
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")

@@ -66,6 +66,7 @@ class TestRulesFire:
         ("src/repro/telemetry/atomic_bad.py", "atomic-writes", 1),
         ("src/repro/nn/layering_bad.py", "import-layering", 2),
         ("src/repro/scenarios/layering_bad.py", "import-layering", 2),
+        ("src/repro/cluster/layering_bad.py", "import-layering", 2),
     ]
 
     QUIET = [
@@ -76,6 +77,7 @@ class TestRulesFire:
         "src/repro/telemetry/atomic_ok.py",
         "src/repro/nn/layering_ok.py",
         "src/repro/scenarios/layering_ok.py",
+        "src/repro/cluster/layering_ok.py",
         "src/repro/telemetry/wallclock_allowed.py",
         "src/repro/service/wallclock_allowed.py",
         "unscoped_write_ok.py",

@@ -275,6 +275,21 @@ class TestSimulationCache:
         assert cache.stats().risk_hits == 0
         assert cache.stats().risk_misses == 0
 
+    def test_counts_are_the_stats_counters(self):
+        """counts() is the lock-free read the service's engine deltas use:
+        the six counters of stats(), in the engine block's order."""
+        cache = SimulationCache(capacity=1)
+        s = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)
+        cache.simulate(s)
+        cache.simulate(s)
+        cache.simulate(s.with_(batch_size=2))
+        cache.memoize(("risk", 1), lambda: "r", kind="risk")
+        cache.memoize(("risk", 1), lambda: "r", kind="risk")
+        stats = cache.stats()
+        assert cache.counts() == (stats.simulations, stats.hits, stats.misses,
+                                  stats.risk_hits, stats.risk_misses, stats.evictions)
+        assert cache.counts() == (2, 1, 2, 1, 1, 1)
+
     def test_memoize_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             SimulationCache().memoize(("k",), lambda: 1, kind="spot")

@@ -727,10 +727,34 @@ class TestRiskAdjustedPlanner:
         ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache).plan(**kwargs)
         assert cache.stats().simulations == simulations
 
-    def test_mc_distribution_is_candidate_deterministic(self):
-        a = self._plan()
-        b = self._plan()
-        assert a.to_payload() == b.to_payload()
+    def test_mc_distribution_is_candidate_deterministic(self, monkeypatch):
+        """The Monte Carlo path, planned twice on two fresh caches, samples
+        and gives the same plan: each candidate's stream is seeded by its
+        label, not by the order or history of the process."""
+        payloads, samples = [], []
+        for _ in range(2):
+            planner = self._planner(risk_mode="mc", trials=16)
+            simulate = planner.simulator.simulate
+
+            def counted(*args, _simulate=simulate, **kwargs):
+                samples.append(1)
+                return _simulate(*args, **kwargs)
+
+            monkeypatch.setattr(planner.simulator, "simulate", counted)
+            plan = self._plan(planner)
+            assert plan.spot_candidates
+            payloads.append(plan.to_payload())
+        assert samples
+        assert payloads[0] == payloads[1]
+        # A plan over a subset of the GPUs samples each shared candidate
+        # exactly as the full plan did.
+        full = {c.label: c for c in plan.spot_candidates}
+        subset = self._plan(self._planner(risk_mode="mc", trials=16), gpus=(H100,))
+        assert subset.spot_candidates
+        for c in subset.spot_candidates:
+            m = full[c.label]
+            assert (c.mc_mean_hours, c.p50_hours, c.p95_hours) == (
+                m.mc_mean_hours, m.p50_hours, m.p95_hours)
 
     def test_invalid_cadence_menu(self):
         with pytest.raises(ValueError):
