@@ -22,6 +22,10 @@ fixed block beyond the weights (optimizer state, adapters, framework
 overhead). ``BatchSizeModel`` therefore supports a third fitted
 coefficient, the fixed overhead in GB (default 0 = the paper's literal
 two-coefficient form); the ablation benchmark compares both.
+
+The fit is closed-form by variable projection: for a fixed ``C1`` the
+residual is linear in ``(C0, C0 * overhead)``, and a narrowing grid over
+``C1 in [0, 1]`` picks the best of those exact solutions.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ PAPER_BATCH_COEFFICIENTS: Dict[str, Tuple[float, float]] = {
     "blackmamba": (83.0, 0.88),
 }
 
+#: Fit bounds: ``C0`` within ``C0_BOUNDS``, overhead within ``[0, MAX_OVERHEAD_GB]``.
+C0_BOUNDS = (1e-3, 1e4)
+MAX_OVERHEAD_GB = 60.0
+#: Each of 3 ``C1`` grids spans two steps of the last around its best point.
+C1_GRID_POINTS = 2001
+
 
 @dataclass
 class BatchSizeModel:
@@ -74,17 +84,10 @@ class BatchSizeModel:
         """Eq. 1 with the floor; clamped at zero for undersized GPUs."""
         return max(0, math.floor(self.predict_raw(gpu_memory_gb, seq_len, sparsity)))
 
-    def project_memory_sweep(
-        self, memories_gb: Sequence[float], seq_len: int, sparsity: float
-    ) -> Dict[float, int]:
-        """Fig. 13: projected max batch size across GPU memory capacities."""
-        return {m: self.predict(m, seq_len, sparsity) for m in memories_gb}
-
     @classmethod
     def fit(
         cls,
         observations: Sequence[BatchSizeObservation],
-        initial: Tuple[float, float] = (10.0, 0.9),
         fit_overhead: bool = False,
     ) -> "BatchSizeModel":
         """Least-squares fit on the pre-floor continuous values.
@@ -94,41 +97,23 @@ class BatchSizeModel:
         ``fit_overhead=True`` enables the third coefficient (fixed memory
         overhead beyond the weights); see the module docstring.
         """
-        # Imported here: scipy.optimize is ~0.4 s of import and planning never fits.
-        from scipy.optimize import least_squares
-
         if not observations:
             raise ValueError("cannot fit on zero observations")
         model_mem = observations[0].model_memory_gb
         if any(abs(o.model_memory_gb - model_mem) > 1e-9 for o in observations):
             raise ValueError("all observations must share one model")
 
-        targets = np.array([o.max_batch_size + 0.5 for o in observations])
-
-        def make_model(params: np.ndarray) -> "BatchSizeModel":
-            if fit_overhead:
-                c0, c1, overhead = params
-            else:
-                c0, c1 = params
-                overhead = 0.0
-            return cls(c0=float(c0), c1=float(c1), model_memory_gb=model_mem, overhead_gb=float(overhead))
-
-        def residuals(params: np.ndarray) -> np.ndarray:
-            model = make_model(params)
-            preds = np.array(
-                [model.predict_raw(o.gpu_memory_gb, o.seq_len, o.sparsity) for o in observations]
-            )
-            # Relative error keeps small-batch cells from being swamped.
-            return (preds - targets) / np.maximum(targets, 1.0)
-
-        if fit_overhead:
-            x0 = np.array([*initial, 1.0])
-            bounds = (np.array([1e-3, 0.0, 0.0]), np.array([1e4, 1.0, 60.0]))
-        else:
-            x0 = np.array(initial)
-            bounds = (np.array([1e-3, 0.0]), np.array([1e4, 1.0]))
-        fit = least_squares(residuals, x0=x0, bounds=bounds)
-        return make_model(fit.x)
+        columns = np.array([(o.gpu_memory_gb - model_mem, o.seq_len, o.sparsity,
+                             o.max_batch_size + 0.5) for o in observations]).T
+        max_overhead = MAX_OVERHEAD_GB if fit_overhead else 0.0
+        low, high = 0.0, 1.0
+        for _ in range(3):
+            c1 = np.linspace(low, high, C1_GRID_POINTS)
+            c0, overhead, loss = _project_c1(c1, *columns, max_overhead)
+            best = int(np.argmin(loss))
+            low, high = c1[max(best - 1, 0)], c1[min(best + 1, C1_GRID_POINTS - 1)]
+        return cls(c0=float(c0[best]), c1=float(c1[best]), model_memory_gb=model_mem,
+                   overhead_gb=float(overhead[best]))
 
     def rmse(self, observations: Sequence[BatchSizeObservation]) -> float:
         errors = [
@@ -136,3 +121,35 @@ class BatchSizeModel:
             for o in observations
         ]
         return float(np.sqrt(np.mean(np.square(errors))))
+
+
+def _project_c1(c1, free, seq_len, sparsity, targets, max_overhead):
+    """The bounded least-squares ``(c0, overhead)`` and its loss for each
+    ``c1`` of a grid. With ``p = c0 * overhead``, the relative residual
+    ``(c0 * (free - overhead) / d - target) * w`` is ``a * c0 + b * p - t``
+    and every bound is linear in ``(c0, p)``, so the minimum is the
+    unconstrained solution if feasible, else the best edge minimum."""
+    weight = 1.0 / np.maximum(targets, 1.0)
+    b = -weight / (seq_len * ((1.0 - c1[:, None]) + c1[:, None] * sparsity))
+    a, t = -free * b, targets * weight
+    saa, sab, sbb, sat, sbt = ((x * y).sum(axis=1) for x, y in
+                               ((a, a), (a, b), (b, b), (a, t), (b, t)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = saa * sbb - sab**2
+        unbounded_c0 = (sat * sbb - sbt * sab) / det
+        c0, overhead = [unbounded_c0], [(saa * sbt - sab * sat) / det / unbounded_c0]
+        for fixed in (0.0, max_overhead):  # an overhead bound: c0 by 1-D least squares
+            c0.append(np.clip((sat + fixed * sbt) / (saa + 2 * fixed * sab + fixed**2 * sbb),
+                              *C0_BOUNDS))
+            overhead.append(np.full_like(c1, fixed))
+        for fixed in C0_BOUNDS:  # a c0 bound: p by 1-D least squares
+            c0.append(np.full_like(c1, fixed))
+            overhead.append(np.clip((sbt - fixed * sab) / sbb / fixed, 0.0, max_overhead))
+        c0, overhead = np.stack(c0), np.stack(overhead)
+        inside = ((np.clip(c0[0], *C0_BOUNDS) == c0[0])
+                  & (np.clip(overhead[0], 0.0, max_overhead) == overhead[0]))
+        c0[0] = np.where(inside, c0[0], np.nan)
+        loss = np.square(c0[..., None] * (a + overhead[..., None] * b) - t).sum(axis=2)
+    loss[np.isnan(loss)] = np.inf
+    best = np.argmin(loss, axis=0), np.arange(len(c1))
+    return c0[best], overhead[best], loss[best]

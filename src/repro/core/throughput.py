@@ -14,9 +14,11 @@ form available for comparison::
 
     literal:   Throughput = C2 * log(batch_size / (sparsity * C3)) + C4
 
-Both are fitted with scipy curve fitting against measured (simulated)
-throughput sweeps, and validated with the paper's RMSE metric (Figs. 14
-and 15 report RMSE <= 0.79 on A40 and <= 0.55 on other GPUs).
+Each is fitted to measured (simulated) throughput sweeps by one exact
+least-squares solve, the exponent form on ``[log b, log s, 1]``, the
+literal form on ``[log(b/s), 1]`` with ``C3 = 1`` (any other C3 only
+moves the intercept), and validated with the paper's RMSE metric (Figs.
+14 and 15 report RMSE <= 0.79 on A40 and <= 0.55 on other GPUs).
 """
 
 from __future__ import annotations
@@ -73,36 +75,23 @@ class ThroughputModel:
         observations: Sequence[ThroughputObservation],
         form: FormName = "exponent",
     ) -> "ThroughputModel":
-        """Fit (C2, C3, C4) as the paper does with scipy."""
-        # Imported here: scipy.optimize is ~0.4 s of import and planning never fits.
-        from scipy.optimize import curve_fit
-
+        """Fit (C2, C3, C4) by exact least squares; see the module docstring."""
         if len(observations) < 3:
             raise ValueError(f"need at least 3 observations, got {len(observations)}")
-        batch = np.array([o.batch_size for o in observations], dtype=float)
-        sparsity = np.array([o.sparsity for o in observations], dtype=float)
+        log_b = np.log([o.batch_size for o in observations])
+        log_s = np.log([o.sparsity for o in observations])
         target = np.array([o.throughput_qps for o in observations], dtype=float)
-
-        if form == "exponent":
-
-            def equation(x, c2, c3, c4):
-                b, s = x
-                return c2 * np.log(b / s**c3) + c4
-
-            p0 = (max(target.std(), 0.1), 1.0, max(target.min(), 0.05))
-            bounds = ([1e-6, -5.0, -10.0], [1e3, 5.0, 1e3])
-        else:
-
-            def equation(x, c2, c3, c4):
-                b, s = x
-                return c2 * np.log(b / (s * c3)) + c4
-
-            p0 = (max(target.std(), 0.1), 1.0, max(target.min(), 0.05))
-            bounds = ([1e-6, 1e-6, -1e3], [1e3, 1e3, 1e3])
-
-        params, _ = curve_fit(equation, (batch, sparsity), target, p0=p0, bounds=bounds, maxfev=20000)
-        c2, c3, c4 = (float(p) for p in params)
-        return cls(c2=c2, c3=c3, c4=c4, form=form)
+        slopes = [log_b, log_s] if form == "exponent" else [log_b - log_s]
+        design = np.column_stack([*slopes, np.ones_like(log_b)])
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < design.shape[1]:
+            raise ValueError(f"cannot fit Eq. 2 ({form} form): the design has rank {rank} < "
+                             f"{design.shape[1]}; batch size and sparsity do not vary enough")
+        c2 = float(coef[0])
+        if c2 <= 0.0:
+            raise ValueError(f"fitted C2 = {c2:.6g} <= 0: throughput does not grow with batch size")
+        c3 = float(-coef[1] / c2) if form == "exponent" else 1.0
+        return cls(c2=c2, c3=c3, c4=float(coef[-1]), form=form)
 
     def rmse(self, observations: Sequence[ThroughputObservation]) -> float:
         """The paper's validation metric (Figs. 14/15)."""

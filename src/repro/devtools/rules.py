@@ -639,6 +639,7 @@ PLAN_UNUSED = (
     "repro.telemetry.cli",
     "repro.telemetry.export",
     "repro.telemetry.manifest",
+    "repro.telemetry.schema",
 )
 
 #: (low, high, why, module_level): no module under a ``low`` prefix

@@ -22,22 +22,14 @@ PAPER_RMSE = {
 }
 
 
-def run(
-    gpu=A40,
-    form: str = "exponent",
-    cache: SimulationCache | None = None,
-) -> ExperimentResult:
-    result = ExperimentResult("fig14", f"Eq. 2 throughput fit on {gpu.name}")
+def run(cache: SimulationCache | None = None) -> ExperimentResult:
+    result = ExperimentResult("fig14", f"Eq. 2 throughput fit on {A40.name}")
     for cfg in (MIXTRAL_8X7B, BLACKMAMBA_2_8B):
         for dataset in ("commonsense15k", "math14k"):
             seq_len = EFFECTIVE_SEQ_LEN[dataset]
-            dense = collect_throughput_observations(
-                cfg, gpu, seq_len, dense=True, cache=cache,
-            )
-            sparse = collect_throughput_observations(
-                cfg, gpu, seq_len, dense=False, cache=cache,
-            )
-            model, rmse = fit_dense_sparse(dense, sparse, form=form)
+            dense = collect_throughput_observations(cfg, A40, seq_len, dense=True, cache=cache)
+            sparse = collect_throughput_observations(cfg, A40, seq_len, dense=False, cache=cache)
+            model, rmse = fit_dense_sparse(dense, sparse)
             key = f"{cfg.family}_{dataset}"
             result.add(f"{key}_rmse", rmse, PAPER_RMSE[key])
             result.add(f"{key}_c2", model.c2)

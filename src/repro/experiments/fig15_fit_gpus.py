@@ -22,10 +22,7 @@ PAPER_RMSE = {
 }
 
 
-def run(
-    form: str = "exponent",
-    cache: SimulationCache | None = None,
-) -> ExperimentResult:
+def run(cache: SimulationCache | None = None) -> ExperimentResult:
     result = ExperimentResult("fig15", "Eq. 2 throughput fit on other GPUs (Mixtral-CS)")
     seq_len = EFFECTIVE_SEQ_LEN["commonsense15k"]
     for gpu in (A100_40, A100_80, H100):
@@ -39,7 +36,7 @@ def run(
             result.add(f"{gpu.name}_rmse", float("nan"),
                        note="model does not fit on this GPU at this length")
             continue
-        model, rmse = fit_dense_sparse(dense, sparse, form=form)
+        model, rmse = fit_dense_sparse(dense, sparse)
         result.add(f"{gpu.name}_rmse", rmse, PAPER_RMSE[gpu.name])
         result.add(f"{gpu.name}_max_sparse_batch", max_batch_size(MIXTRAL_8X7B, gpu, seq_len, dense=False))
         result.add(f"{gpu.name}_c2", model.c2)

@@ -1,7 +1,10 @@
 """Tests over the experiment suite: every fast artifact runs and its
 headline (takeaway) claims hold."""
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.experiments import (
     table4_cost,
 )
 from repro.experiments.common import ExperimentResult, ExperimentRow
+from repro.scenarios import SimulationCache
 
 
 class TestResultContainers:
@@ -166,6 +170,47 @@ class TestFig14And15:
         for gpu in ("A100-40GB", "A100-80GB", "H100-80GB"):
             value = result.row(f"{gpu}_rmse").measured
             assert math.isnan(value) or value < 1.1
+
+
+FIT_EXPERIMENTS = {
+    "fig13": fig13_projection,
+    "fig14": fig14_fit_a40,
+    "fig15": fig15_fit_gpus,
+    "table4": table4_cost,
+}
+
+#: Every row of the Eq. 1/Eq. 2 fit experiments as recorded from
+#: iterative bounded least-squares fits (trust-region solvers that stop at
+#: their own tolerance), which the closed-form fits must reproduce.
+GOLDEN_FIT_ROWS = json.loads(
+    (Path(__file__).parent / "data" / "golden_fit_rows.json").read_text()
+)
+
+
+@pytest.mark.parametrize("experiment", sorted(FIT_EXPERIMENTS))
+class TestClosedFormFits:
+    def test_runs_without_warnings(self, experiment):
+        module = FIT_EXPERIMENTS[experiment]
+        kwargs = {} if experiment == "fig13" else {"cache": SimulationCache()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            module.run(**kwargs)
+
+    def test_rows_match_the_iterative_fits(self, experiment):
+        """The closed-form fits reproduce every row to ``rtol=1e-6``;
+        Fig. 15's A100-40GB fit interpolates its 3 points, so its RMSE is
+        zero up to rounding on both sides."""
+        result = FIT_EXPERIMENTS[experiment].run()
+        golden = GOLDEN_FIT_ROWS[experiment]
+        assert [row.label for row in result.rows] == list(golden)
+        for row in result.rows:
+            expected = golden[row.label]
+            if row.label == "A100-40GB_rmse":
+                assert row.measured < 1e-12 and expected < 1e-12
+            elif isinstance(expected, float):
+                assert row.measured == pytest.approx(expected, rel=1e-6), row.label
+            else:
+                assert row.measured == expected, row.label
 
 
 class TestTable4:
