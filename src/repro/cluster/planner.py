@@ -58,7 +58,7 @@ DEFAULT_NUM_GPUS: Tuple[int, ...] = (1, 2, 4, 8)
 DEFAULT_INTERCONNECTS: Tuple[str, ...] = ("nvlink", "pcie-gen4")
 
 # --parallelism: how the planner lays candidates out on the hardware.
-# "dp" is the pre-strategy behavior (full replicas only), "tp" forces
+# "dp" lays out full replicas only, "tp" forces
 # tensor parallelism, "auto" enumerates both — including TP degrees for
 # cells pure data parallelism cannot fit at all.
 PARALLELISM_MODES: Tuple[str, ...] = ("dp", "tp", "auto")
@@ -67,8 +67,8 @@ DEFAULT_MAX_TP = 8
 
 def strategy_payload(scenario: ClusterScenario) -> Dict[str, object]:
     """The parallelism keys a candidate dict carries — empty for the
-    default data-parallel layout, so pre-strategy plan JSON stays
-    byte-identical. Shared by the cluster and spot candidate dicts."""
+    default data-parallel layout, so a plain data-parallel plan names no
+    layout. Shared by the cluster and spot candidate dicts."""
     strategy = scenario.strategy_spec
     if strategy.is_default:
         return {}
@@ -383,8 +383,8 @@ class ClusterPlanner:
         ``batch_sizes=None`` uses the memory-oracle per-device maximum for
         each (GPU, density, TP degree) cell — the throughput-optimal
         choice; explicit batch sizes are kept only where they fit.
-        ``parallelism`` selects the layout axis: ``"dp"`` reproduces the
-        pre-strategy sweep exactly; ``"tp"``/``"auto"`` also enumerate
+        ``parallelism`` selects the layout axis: ``"dp"`` sweeps full
+        replicas only; ``"tp"``/``"auto"`` also enumerate
         tensor-parallel degrees (powers of two up to ``max_tp``), so a
         cell where the model does not fit one device is *priced* at the
         degrees that shard it into fitting — skip reasons are reserved

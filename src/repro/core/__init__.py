@@ -5,16 +5,29 @@
 * :class:`ThroughputModel` — Eq. 2, logarithmic batch-size->throughput.
 * :class:`FineTuningCostModel` — the full pipeline: max batch size ->
   throughput -> hours -> dollars (Table IV and the OpenOrca projection).
+
+Every name resolves on first access (:mod:`repro.lazy`), so the
+planners, which read only ``repro.core.cost``, never load the fit code.
 """
 
-from .batchsize import BatchSizeModel, BatchSizeObservation, PAPER_BATCH_COEFFICIENTS
-from .cost import CostEstimate, FineTuningCostModel, dataset_num_queries, wall_clock_hours
-from .fitting import (
-    collect_batch_size_observations,
-    collect_throughput_observations,
-    observations_from_sweep,
-)
-from .throughput import ThroughputModel, ThroughputObservation, fit_dense_sparse
+from ..lazy import lazy_exports
+
+#: Name → submodule; every name resolves on first access.
+_LAZY = {
+    "BatchSizeModel": ".batchsize",
+    "BatchSizeObservation": ".batchsize",
+    "PAPER_BATCH_COEFFICIENTS": ".batchsize",
+    "CostEstimate": ".cost",
+    "FineTuningCostModel": ".cost",
+    "dataset_num_queries": ".cost",
+    "wall_clock_hours": ".cost",
+    "collect_batch_size_observations": ".fitting",
+    "collect_throughput_observations": ".fitting",
+    "observations_from_sweep": ".fitting",
+    "ThroughputModel": ".throughput",
+    "ThroughputObservation": ".throughput",
+    "fit_dense_sparse": ".throughput",
+}
 
 __all__ = [
     "BatchSizeModel",
@@ -31,3 +44,5 @@ __all__ = [
     "observations_from_sweep",
     "wall_clock_hours",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

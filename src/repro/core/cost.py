@@ -21,8 +21,6 @@ from ..gpu.specs import GPUSpec
 from ..memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size
 from ..models.config import BlackMambaConfig, MixtralConfig
 from ..scenarios import Scenario, SimulationCache, resolve_cache
-from .fitting import collect_throughput_observations
-from .throughput import ThroughputModel
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -104,11 +102,16 @@ class FineTuningCostModel:
         )
 
     # ------------------------------------------------------------------
-    def throughput_model(self, gpu: GPUSpec) -> ThroughputModel:
-        """Fit Eq. 2 for one GPU from a simulated sweep. The fit is a pure
+    def throughput_model(self, gpu: GPUSpec):
+        """Fit Eq. 2 for one GPU from a simulated sweep: a
+        :class:`~repro.core.throughput.ThroughputModel`. The fit is a pure
         function of the cached traces, so it is memoized on the simulation
         cache — keyed by the full GPU spec, shared across cost-model
-        instances."""
+        instances. The fit code is imported here, not at module level, so
+        a plan never loads it."""
+        from .fitting import collect_throughput_observations
+        from .throughput import ThroughputModel
+
         def fit() -> ThroughputModel:
             dense_obs = collect_throughput_observations(
                 self.cfg, gpu, self.seq_len, dense=True, cache=self.cache,

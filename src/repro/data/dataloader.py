@@ -23,10 +23,6 @@ class Batch:
         return int(self.input_ids.shape[0])
 
     @property
-    def max_length(self) -> int:
-        return int(self.input_ids.shape[1])
-
-    @property
     def num_tokens(self) -> int:
         return int(self.lengths.sum())
 

@@ -69,10 +69,6 @@ class Vocabulary:
         return self.token_to_id[EOS]
 
     @property
-    def sep_id(self) -> int:
-        return self.token_to_id[SEP]
-
-    @property
     def answer_id(self) -> int:
         return self.token_to_id[ANSWER]
 

@@ -12,7 +12,6 @@ from .roofline import (
     time_weighted_sm,
 )
 from .multigpu import (
-    DataParallelSimulator,
     INTERCONNECTS,
     Interconnect,
     MultiGPUEstimate,
@@ -20,7 +19,6 @@ from .multigpu import (
     PCIE_GEN4,
     estimate_from_trace,
     get_interconnect,
-    multi_gpu_cost_dollars,
     trainable_gradient_bytes,
 )
 from .parallelism import (
@@ -45,7 +43,6 @@ __all__ = [
     "DATA_PARALLEL",
     "DEFAULT_OVERHEADS",
     "DataParallel",
-    "DataParallelSimulator",
     "FORWARD",
     "INTERCONNECTS",
     "Interconnect",
@@ -57,7 +54,6 @@ __all__ = [
     "estimate_from_trace",
     "get_interconnect",
     "get_strategy",
-    "multi_gpu_cost_dollars",
     "tp_degrees",
     "trainable_gradient_bytes",
     "GPU_REGISTRY",

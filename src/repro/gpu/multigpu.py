@@ -1,9 +1,9 @@
-"""Multi-GPU collectives cost model (the paper's stated future work).
+"""Multi-GPU cost model (the paper's stated future work).
 
 The paper closes with: "extending this model to multi-GPU systems is left
-for future exploration." This module provides the communication substrate
-for that extension: an :class:`Interconnect` prices the three ring
-collectives every distributed-training layout is built from —
+for future exploration." This module provides that extension in two
+parts. An :class:`Interconnect` prices the three ring collectives every
+distributed-training layout is built from —
 
 * **all-reduce** — ``2 * (N-1)/N * payload`` per GPU on the wire (the
   data-parallel gradient sync and the tensor-parallel activation sync);
@@ -12,9 +12,10 @@ collectives every distributed-training layout is built from —
   parameters and scatter gradient shards with these); a ring all-reduce
   is exactly a reduce-scatter followed by an all-gather.
 
-The :mod:`repro.gpu.parallelism` strategy classes consume these
-collectives to turn a cached per-device step trace into cluster-level
-throughput. Two consequences the data-parallel model captures:
+and :func:`estimate_from_trace` turns a cached per-device step trace into
+cluster throughput under any :mod:`repro.gpu.parallelism` layout, with
+one formula over the layout's tensor-parallel degree and accumulation
+depth. Two consequences it captures:
 
 1. QLoRA fine-tuning data-parallelizes almost perfectly — its gradient
    set (LoRA adapters, ~0.9 GB for Mixtral) is tiny, so the all-reduce is
@@ -24,25 +25,32 @@ throughput. Two consequences the data-parallel model captures:
 
 Under pure data parallelism memory is unchanged per GPU (every replica
 holds the full state), so the single-GPU max batch size applies per
-device; tensor parallelism shards state and work instead (see
-:mod:`repro.gpu.parallelism` and the per-shard mode of
-:mod:`repro.memory.estimator`).
+device; tensor parallelism shards state and work instead (see the
+per-shard mode of :mod:`repro.memory.estimator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from ..models.config import BlackMambaConfig, MixtralConfig
 from ..models.params import lora_adapter_parameters, param_breakdown
-from .simulator import GPUSimulator, SoftwareOverhead
-from .specs import GPUSpec
+from .kernels import OPTIMIZER
+from .parallelism import DATA_PARALLEL, ParallelismStrategy
+from .trace import StepTrace
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
 # Per-parameter gradient payload on the wire (fp16 gradients).
 GRADIENT_BYTES_PER_PARAM = 2.0
+
+# Activations cross TP sync points in fp16.
+ACTIVATION_BYTES = 2.0
+
+# Megatron-style sync points: one after the attention/mixer block and one
+# after the FFN/MoE block, mirrored in backward.
+TP_SYNCS_PER_LAYER = 2
 
 
 @dataclass(frozen=True)
@@ -109,12 +117,8 @@ def trainable_gradient_bytes(cfg: ModelConfig) -> float:
 
 @dataclass
 class MultiGPUEstimate:
-    """Cluster throughput estimate under one parallelism layout.
-
-    The default field values describe pure data parallelism, so
-    estimates built before the strategy layer existed compare equal to
-    today's :class:`~repro.gpu.parallelism.DataParallel` output.
-    """
+    """Cluster throughput estimate under one parallelism layout; the
+    default field values describe plain data parallelism."""
 
     num_gpus: int
     per_gpu_batch: int  # per-device (per-TP-group) micro-batch
@@ -132,77 +136,71 @@ class MultiGPUEstimate:
         return self.num_gpus // self.tensor_parallel
 
 
-def estimate_from_trace(cfg: ModelConfig, trace, num_gpus: int,
-                        interconnect: Interconnect,
-                        strategy=None) -> MultiGPUEstimate:
+def tp_comm_seconds_per_micro_batch(
+    cfg: ModelConfig, trace: StepTrace, interconnect: Interconnect, degree: int
+) -> float:
+    """Activation synchronization one micro-batch pays at tensor-parallel
+    ``degree``: two sync points per layer in forward, mirrored in
+    backward, each a reduce-scatter + all-gather of the fp16 activations.
+    Exactly 0.0 at ``degree == 1``."""
+    payload = ACTIVATION_BYTES * trace.batch_size * trace.seq_len * cfg.dim
+    sync = interconnect.reducescatter_seconds(
+        payload, degree
+    ) + interconnect.allgather_seconds(payload, degree)
+    return 2 * TP_SYNCS_PER_LAYER * cfg.num_layers * sync
+
+
+def estimate_from_trace(
+    cfg: ModelConfig,
+    trace: StepTrace,
+    num_gpus: int,
+    interconnect: Interconnect,
+    strategy: ParallelismStrategy = DATA_PARALLEL,
+) -> MultiGPUEstimate:
     """Cluster estimate from an already-simulated per-device step trace.
 
-    Without a ``strategy`` (or with the default data-parallel one) this
-    is the original data-parallel model, bit for bit: every replica runs
-    the identical per-device step, so one trace serves all cluster sizes
-    — the cluster layer exploits this to scale a sweep from 1 to N GPUs
-    without re-simulating the replica. A non-default
-    :class:`~repro.gpu.parallelism.ParallelismStrategy` dispatches to its
-    own collectives math (and expects the trace matching its layout —
-    sharded for tensor parallelism).
+    With tensor-parallel degree ``t`` and accumulation depth ``k``, the
+    ``num_gpus // t`` data-parallel groups each run ``k`` micro-batches
+    (forward, backward and host overhead) and one optimizer update per
+    step, paying ``k`` TP activation syncs and one gradient all-reduce of
+    the group's ``1/t`` shard of the trainable gradients. Every replica
+    runs the identical per-device step, so one trace serves all cluster
+    sizes; the trace must match the layout (tensor parallelism simulates
+    the sharded per-device workload).
     """
     if num_gpus < 1:
         raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
-    if strategy is not None and not strategy.is_default:
-        return strategy.estimate(cfg, trace, num_gpus, interconnect)
-    comm = interconnect.allreduce_seconds(trainable_gradient_bytes(cfg), num_gpus)
+    strategy.validate(num_gpus)
+    t, k = strategy.tensor_parallel, strategy.grad_accum
+    dp = num_gpus // t
     # Communication overlaps poorly with the tail of backward in naive
     # DDP over small adapter sets; model it as serialized.
-    step = trace.total_seconds + comm
-    throughput = num_gpus * trace.batch_size / step
-    single = trace.queries_per_second
-    efficiency = throughput / (num_gpus * single) if single > 0 else 0.0
+    grad_comm = interconnect.allreduce_seconds(trainable_gradient_bytes(cfg) / t, dp)
+    tp_comm = k * tp_comm_seconds_per_micro_batch(cfg, trace, interconnect, t)
+    total = trace.total_seconds  # one walk of the kernel timings
+    if k == 1:
+        compute = total
+    else:
+        optimizer = trace.stage_seconds()[OPTIMIZER]
+        compute = k * (total - optimizer) + optimizer
+    step = compute + tp_comm + grad_comm
+    throughput = dp * k * trace.batch_size / step
+    if t == k == 1:
+        # Plain data parallelism: the ratio to N single-GPU runs (the
+        # trace's queries_per_second), rounded as plans have always
+        # printed it.
+        single = trace.batch_size / total if total > 0 else 0.0
+        efficiency = throughput / (num_gpus * single) if single > 0 else 0.0
+    else:
+        efficiency = compute / step
     return MultiGPUEstimate(
         num_gpus=num_gpus,
         per_gpu_batch=trace.batch_size,
         step_seconds=step,
-        allreduce_seconds=comm,
+        allreduce_seconds=grad_comm,
         queries_per_second=throughput,
         scaling_efficiency=efficiency,
+        tensor_parallel=t,
+        grad_accum=k,
+        tp_comm_seconds=tp_comm,
     )
-
-
-class DataParallelSimulator:
-    """Data-parallel fine-tuning on ``num_gpus`` identical devices."""
-
-    def __init__(
-        self,
-        gpu: GPUSpec,
-        interconnect: Interconnect = NVLINK,
-        overheads: Optional[Dict[str, SoftwareOverhead]] = None,
-    ) -> None:
-        self.gpu = gpu
-        self.interconnect = interconnect
-        self._single = GPUSimulator(gpu, overheads=overheads)
-
-    def estimate(
-        self,
-        cfg: ModelConfig,
-        per_gpu_batch: int,
-        seq_len: int,
-        num_gpus: int,
-        dense: bool = False,
-        **overrides,
-    ) -> MultiGPUEstimate:
-        if num_gpus < 1:
-            raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
-        trace = self._single.simulate_step(cfg, per_gpu_batch, seq_len, dense=dense, **overrides)
-        return estimate_from_trace(cfg, trace, num_gpus, self.interconnect)
-
-
-def multi_gpu_cost_dollars(
-    estimate: MultiGPUEstimate,
-    num_queries: int,
-    epochs: int,
-    dollars_per_gpu_hour: float,
-) -> float:
-    """Total rental cost: N GPUs for the (shorter) wall-clock duration."""
-    if estimate.queries_per_second <= 0:
-        return float("inf")
-    hours = num_queries * epochs / estimate.queries_per_second / 3600.0
-    return hours * dollars_per_gpu_hour * estimate.num_gpus

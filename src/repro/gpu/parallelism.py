@@ -1,13 +1,11 @@
 """Parallelism strategies: how a fine-tuning job is laid out on GPUs.
 
-A :class:`ParallelismStrategy` turns a cached *per-device* step trace
-into a cluster-level throughput estimate by pricing the collectives the
-layout needs on an :class:`~repro.gpu.multigpu.Interconnect`:
+A :class:`ParallelismStrategy` describes a layout; the one estimate,
+:func:`~repro.gpu.multigpu.estimate_from_trace`, prices it from the
+strategy's tensor-parallel degree and accumulation depth.
 
 * :class:`DataParallel` — every GPU holds a full replica; one gradient
-  all-reduce of the trainable parameters per optimizer step. With
-  ``grad_accum == 1`` this is bit-identical to the original
-  :func:`~repro.gpu.multigpu.estimate_from_trace` model.
+  all-reduce of the trainable parameters per optimizer step.
 * :class:`TensorParallel` — each layer's weights (and optimizer moments)
   are sharded across ``degree`` GPUs; every micro-batch pays two
   activation synchronizations per layer in forward and backward
@@ -19,7 +17,7 @@ layout needs on an :class:`~repro.gpu.multigpu.Interconnect`:
   per optimizer step, trading per-device micro-batch for global batch at
   fixed memory while amortizing the optimizer update and gradient sync.
 
-The per-device trace a strategy consumes must match its layout: tensor
+The per-device trace a layout is priced from must match it: tensor
 parallelism simulates the *sharded* per-device workload (the scenario
 layer keys those traces by the ``tensor_parallel`` workload override),
 data parallelism the full replica. Strategies are frozen and hashable so
@@ -30,24 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Tuple, Union
-
-from .kernels import OPTIMIZER
-from .multigpu import (
-    Interconnect,
-    ModelConfig,
-    MultiGPUEstimate,
-    estimate_from_trace as _data_parallel_estimate,
-    trainable_gradient_bytes,
-)
-from .trace import StepTrace
-
-# Activations cross TP sync points in fp16.
-ACTIVATION_BYTES = 2.0
-
-# Megatron-style sync points: one after the attention/mixer block and one
-# after the FFN/MoE block, mirrored in backward.
-TP_SYNCS_PER_LAYER = 2
+from typing import Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -61,15 +42,10 @@ class ParallelismStrategy:
 
     grad_accum: int = 1
 
-    kind: ClassVar[str] = "dp"
-
     def __post_init__(self) -> None:
         if self.grad_accum < 1:
             raise ValueError(f"grad_accum must be >= 1, got {self.grad_accum}")
 
-    # ------------------------------------------------------------------
-    # Layout
-    # ------------------------------------------------------------------
     @property
     def tensor_parallel(self) -> int:
         """TP degree; 1 means every GPU holds a full replica."""
@@ -77,8 +53,8 @@ class ParallelismStrategy:
 
     @property
     def is_default(self) -> bool:
-        """True for plain data parallelism without accumulation — the
-        pre-strategy behavior every legacy artifact was produced with."""
+        """True for plain data parallelism without accumulation, the
+        layout plan JSON and scenario labels leave unnamed."""
         return self.tensor_parallel == 1 and self.grad_accum == 1
 
     def data_parallel_ways(self, num_gpus: int) -> int:
@@ -86,10 +62,10 @@ class ParallelismStrategy:
 
     def validate(self, num_gpus: int) -> None:
         """Reject layouts the cluster size cannot host."""
-        t = self.tensor_parallel
-        if num_gpus < t or num_gpus % t != 0:
+        if not self.fits(num_gpus):
             raise ValueError(
-                f"tensor-parallel degree {t} does not divide num_gpus={num_gpus}"
+                f"tensor-parallel degree {self.tensor_parallel} does not divide "
+                f"num_gpus={num_gpus}"
             )
 
     def fits(self, num_gpus: int) -> bool:
@@ -105,44 +81,6 @@ class ParallelismStrategy:
         """Queries contributing to one optimizer step across the fleet."""
         return self.data_parallel_ways(num_gpus) * self.grad_accum * per_device_batch
 
-    # ------------------------------------------------------------------
-    # Estimation
-    # ------------------------------------------------------------------
-    def _micro_and_optimizer_seconds(self, trace: StepTrace) -> Tuple[float, float]:
-        """Split the per-device trace into the part every micro-batch
-        repeats (forward + backward + host overhead) and the optimizer
-        update paid once per accumulated step."""
-        optimizer = trace.stage_seconds()[OPTIMIZER]
-        return trace.total_seconds - optimizer, optimizer
-
-    def estimate(
-        self,
-        cfg: ModelConfig,
-        trace: StepTrace,
-        num_gpus: int,
-        interconnect: Interconnect,
-    ) -> MultiGPUEstimate:
-        """Cluster throughput from the per-device trace."""
-        if self.is_default:
-            return _data_parallel_estimate(cfg, trace, num_gpus, interconnect)
-        self.validate(num_gpus)
-        k = self.grad_accum
-        micro, optimizer = self._micro_and_optimizer_seconds(trace)
-        comm = interconnect.allreduce_seconds(trainable_gradient_bytes(cfg), num_gpus)
-        compute = k * micro + optimizer
-        step = compute + comm
-        queries = num_gpus * k * trace.batch_size
-        return MultiGPUEstimate(
-            num_gpus=num_gpus,
-            per_gpu_batch=trace.batch_size,
-            step_seconds=step,
-            allreduce_seconds=comm,
-            queries_per_second=queries / step,
-            scaling_efficiency=compute / step,
-            tensor_parallel=1,
-            grad_accum=k,
-        )
-
 
 class DataParallel(ParallelismStrategy):
     """Named alias of the base strategy: full replicas, gradient
@@ -155,8 +93,6 @@ class TensorParallel(ParallelismStrategy):
 
     degree: int = 2
 
-    kind: ClassVar[str] = "tp"
-
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.degree < 2:
@@ -167,52 +103,6 @@ class TensorParallel(ParallelismStrategy):
     @property
     def tensor_parallel(self) -> int:
         return self.degree
-
-    def tp_comm_seconds_per_micro_batch(
-        self, cfg: ModelConfig, trace: StepTrace, interconnect: Interconnect
-    ) -> float:
-        """Activation synchronization one micro-batch pays: two sync
-        points per layer in forward, mirrored in backward, each a
-        reduce-scatter + all-gather of the fp16 activations."""
-        payload = ACTIVATION_BYTES * trace.batch_size * trace.seq_len * cfg.dim
-        sync = interconnect.reducescatter_seconds(
-            payload, self.degree
-        ) + interconnect.allgather_seconds(payload, self.degree)
-        return 2 * TP_SYNCS_PER_LAYER * cfg.num_layers * sync
-
-    def estimate(
-        self,
-        cfg: ModelConfig,
-        trace: StepTrace,
-        num_gpus: int,
-        interconnect: Interconnect,
-    ) -> MultiGPUEstimate:
-        """``trace`` must be the *sharded* per-device step (simulated with
-        the ``tensor_parallel`` workload override at this degree)."""
-        self.validate(num_gpus)
-        t, k = self.degree, self.grad_accum
-        dp_ways = num_gpus // t
-        micro, optimizer = self._micro_and_optimizer_seconds(trace)
-        tp_comm = self.tp_comm_seconds_per_micro_batch(cfg, trace, interconnect)
-        # The DP gradient sync moves each group's *shard* of the
-        # trainable gradients across the data-parallel groups.
-        grad_comm = interconnect.allreduce_seconds(
-            trainable_gradient_bytes(cfg) / t, dp_ways
-        )
-        compute = k * micro + optimizer
-        step = compute + k * tp_comm + grad_comm
-        queries = dp_ways * k * trace.batch_size
-        return MultiGPUEstimate(
-            num_gpus=num_gpus,
-            per_gpu_batch=trace.batch_size,
-            step_seconds=step,
-            allreduce_seconds=grad_comm,
-            queries_per_second=queries / step,
-            scaling_efficiency=compute / step,
-            tensor_parallel=t,
-            grad_accum=k,
-            tp_comm_seconds=k * tp_comm,
-        )
 
 
 DATA_PARALLEL = DataParallel()

@@ -37,10 +37,6 @@ class GPUSpec:
     kernel_overhead_us: float = 6.0  # launch + sync latency per kernel
 
     @property
-    def memory_bytes(self) -> float:
-        return self.memory_gb * 1e9
-
-    @property
     def peak_fp16_flops(self) -> float:
         return self.fp16_tflops * 1e12
 

@@ -15,7 +15,7 @@ from .config import (
     MIXTRAL_TINY,
     MixtralConfig,
 )
-from .params import model_memory_gb, param_breakdown, trainable_parameters
+from .params import model_memory_gb, param_breakdown
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -36,10 +36,6 @@ class ModelSpec:
     @property
     def params_total(self) -> int:
         return param_breakdown(self.config).total
-
-    @property
-    def params_trainable(self) -> int:
-        return trainable_parameters(self.config)
 
     @property
     def memory_gb(self) -> float:

@@ -269,7 +269,7 @@ class PlanningService:
         response's telemetry block. ``grid`` is the plan's grid digest.
         The exporters and manifest load on the first traced request, so
         an untraced service never imports them."""
-        from ..telemetry.export import metric_events, telemetry_block, write_events
+        from ..telemetry.export import run_events, telemetry_block, write_events
         from ..telemetry.manifest import build_manifest
 
         snapshot = merge_snapshots(self.cache.metrics.snapshot(), self.metrics.snapshot())
@@ -279,10 +279,9 @@ class PlanningService:
         if self._telemetry_out:
             write_events(self._telemetry_out, tracer, snapshot, manifest)
         if self._run_store is not None:
-            events = list(tracer.export())
-            events.extend(metric_events(snapshot))
-            events.append(manifest)
-            self._run_store.ingest_events(events, timestamp=self._clock())
+            self._run_store.ingest_events(
+                run_events(tracer, snapshot, manifest), timestamp=self._clock()
+            )
         return telemetry_block(tracer, snapshot, manifest)
 
     # ------------------------------------------------------------------

@@ -117,11 +117,6 @@ class CheckpointPolicy:
     def restart_hours(self) -> float:
         return self.restart_seconds / 3600.0
 
-    @property
-    def write_overhead_fraction(self) -> float:
-        """Preemption-free slowdown: checkpoint time per interval of work."""
-        return self.write_hours / self.interval_hours
-
     @classmethod
     def for_model(
         cls,

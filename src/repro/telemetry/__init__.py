@@ -37,9 +37,9 @@ Only :mod:`~repro.telemetry.metrics` and :mod:`~repro.telemetry.tracer`
 load with the package: an untraced plan needs the no-op tracer and the
 cache's counters, nothing else. The CLI wiring (``add_telemetry_arguments``,
 ``begin_telemetry``, ``finish_telemetry``, ``telemetry_enabled``), the
-exporters (``metric_events``, ``telemetry_block``, ``write_events``), the
-manifest (``build_manifest``, ``grid_digest``, ``repo_version``,
-``version_info``), the run store (``RunRecord``, ``RunStore``,
+exporters (``metric_events``, ``run_events``, ``telemetry_block``,
+``write_events``), the manifest (``build_manifest``, ``grid_digest``,
+``repo_version``, ``version_info``), the run store (``RunRecord``, ``RunStore``,
 ``load_run``, ``resolve_run_store``) and the schema (``SCHEMA_VERSION``,
 ``SchemaError``, ``validate_event``, ``validate_file``) — and the
 submodules ``cli``, ``export``, ``manifest``, ``runstore`` and
@@ -78,6 +78,7 @@ _LAZY = {
     "finish_telemetry": ".cli",
     "telemetry_enabled": ".cli",
     "metric_events": ".export",
+    "run_events": ".export",
     "telemetry_block": ".export",
     "write_events": ".export",
     "build_manifest": ".manifest",
@@ -121,6 +122,7 @@ __all__ = [
     "reset_default_tracer",
     "resolve_run_store",
     "resolve_tracer",
+    "run_events",
     "telemetry_block",
     "telemetry_enabled",
     "validate_event",

@@ -122,7 +122,7 @@ def finish_telemetry(
     """
     if not telemetry_enabled(args):
         return None
-    from .export import metric_events, telemetry_block, write_events
+    from .export import run_events, telemetry_block, write_events
     from .manifest import build_manifest
 
     tracer = default_tracer()
@@ -139,10 +139,9 @@ def finish_telemetry(
         write_events(args.telemetry_out, tracer, metrics_snapshot, manifest)
     run_store = resolve_run_store(getattr(args, "run_store", None))
     if run_store is not None:
-        events = list(tracer.export())
-        events.extend(metric_events(metrics_snapshot))
-        events.append(manifest)
-        run_store.ingest_events(events, timestamp=time.time())
+        run_store.ingest_events(
+            run_events(tracer, metrics_snapshot, manifest), timestamp=time.time()
+        )
     if getattr(args, "telemetry", False):
         out = stream if stream is not None else sys.stderr
         print(f"== telemetry: {command} ({manifest['version']}) ==", file=out)

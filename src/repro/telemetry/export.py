@@ -3,8 +3,9 @@
 Three consumers, one event vocabulary (:mod:`repro.telemetry.schema`):
 
 * :func:`write_events` — the ``--telemetry-out events.jsonl`` writer:
-  every finished span, every metric, then the run manifest, one JSON
-  object per line;
+  the :func:`run_events` list (every finished span, every metric, then
+  the run manifest, the same list a run store ingests), one JSON object
+  per line;
 * :func:`telemetry_block` — the structure embedded under a
   ``"telemetry"`` key in the CLIs' ``--json`` payloads (flag-gated, so
   default payloads stay byte-identical);
@@ -56,14 +57,27 @@ def telemetry_block(
     }
 
 
+def run_events(
+    tracer: Tracer,
+    metrics_snapshot: Dict[str, Dict[str, object]],
+    manifest: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """A run's event list: spans in start order, then metrics in name
+    order, then the manifest (when given)."""
+    events: List[Dict[str, object]] = list(tracer.export())
+    events.extend(metric_events(metrics_snapshot))
+    if manifest is not None:
+        events.append(manifest)
+    return events
+
+
 def write_events(
     path: Union[str, Path],
     tracer: Tracer,
     metrics_snapshot: Dict[str, Dict[str, object]],
     manifest: Optional[Dict[str, object]] = None,
 ) -> int:
-    """Write the run's events as JSONL: spans in start order, then
-    metrics in name order, then the manifest. Returns the line count.
+    """Write the run's :func:`run_events` as JSONL. Returns the line count.
     ``allow_nan=False`` keeps every line strict JSON — the schema (and
     any downstream consumer) rejects bare ``NaN``/``Infinity`` tokens.
 
@@ -72,10 +86,7 @@ def write_events(
     non-serializable event raising partway through — never leaves a
     truncated JSONL at ``path``, and never clobbers a previous complete
     export with a partial one."""
-    events: List[Dict[str, object]] = list(tracer.export())
-    events.extend(metric_events(metrics_snapshot))
-    if manifest is not None:
-        events.append(manifest)
+    events = run_events(tracer, metrics_snapshot, manifest)
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -106,10 +106,6 @@ class Function:
             out._ctx = ctx
         return out
 
-    def parent_index(self, tensor_position: int) -> int:
-        """Map a positional argument index to the parents tuple index."""
-        return tensor_position
-
 
 class Tensor:
     """A numpy array with an optional autograd history.

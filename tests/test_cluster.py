@@ -10,7 +10,7 @@ from repro.cluster import (
     pareto_frontier,
 )
 from repro.cluster.plan import main as plan_main, resolve_gpu_name, resolve_model_key
-from repro.gpu import A40, DataParallelSimulator, H100, NVLINK, PCIE_GEN4, estimate_from_trace
+from repro.gpu import A40, GPUSimulator, H100, NVLINK, PCIE_GEN4, estimate_from_trace
 from repro.models import MIXTRAL_8X7B
 from repro.scenarios import Scenario, SimulationCache
 
@@ -98,10 +98,8 @@ class TestClusterTraceSharing:
             MIXTRAL_8X7B, cache.simulate(point), point.num_gpus, point.interconnect_spec,
             strategy=point.strategy_spec,
         )
-        reference = DataParallelSimulator(A40, interconnect=PCIE_GEN4).estimate(
-            MIXTRAL_8X7B, 4, 128, num_gpus=4
-        )
-        assert estimate == reference
+        direct = GPUSimulator(A40).simulate_step(MIXTRAL_8X7B, 4, 128, dense=False)
+        assert estimate == estimate_from_trace(MIXTRAL_8X7B, direct, 4, PCIE_GEN4)
 
 
 class TestParetoFrontier:

@@ -318,7 +318,9 @@ def test_service_starts_without_urllib_request_or_subprocess():
     assert "subprocess" not in loaded
 
 
-@pytest.mark.parametrize("package", ["repro.models", "repro.data", "repro.telemetry"])
+@pytest.mark.parametrize(
+    "package", ["repro.core", "repro.models", "repro.data", "repro.telemetry"]
+)
 def test_every_exported_name_resolves_once(package):
     """Lazily resolved or not, every ``__all__`` name reads back from the
     package (and shows in ``dir()``), and no name is listed twice."""

@@ -106,6 +106,14 @@ class TestRulesFire:
                         "repro.service.app"):
             assert lint_source(source, module=allowed) == []
 
+    def test_plan_unused_modules_may_import_each_other(self):
+        """The Eq. 1/Eq. 2 fit modules import their siblings at module
+        level; a planning module doing the same is flagged."""
+        source = "from .batchsize import BatchSizeObservation\n"
+        assert lint_source(source, module="repro.core.fitting") == []
+        findings = lint_source(source, module="repro.core.cost")
+        assert [f.rule_id for f in findings] == ["import-layering"]
+
     def test_parse_error_is_a_finding_not_a_crash(self):
         findings = lint_source("def broken(:\n", path="broken.py")
         assert [f.rule_id for f in findings] == [PARSE_ERROR]

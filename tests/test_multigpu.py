@@ -1,21 +1,35 @@
-"""Tests for the multi-GPU data-parallel extension (paper future work)."""
+"""Tests for the multi-GPU extension (paper future work): collectives and
+the one trace-to-cluster estimate."""
+
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterScenario
+from repro.cluster.planner import ClusterCandidate
+from repro.core.cost import wall_clock_hours
 from repro.gpu import (
     A40,
-    DataParallelSimulator,
+    GPUSimulator,
     H100,
     INTERCONNECTS,
     Interconnect,
+    MultiGPUEstimate,
     NVLINK,
     PCIE_GEN4,
     estimate_from_trace,
     get_interconnect,
-    multi_gpu_cost_dollars,
     trainable_gradient_bytes,
 )
 from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
+
+
+def data_parallel(cfg, batch, seq_len, num_gpus, gpu=A40, link=NVLINK):
+    """Plain data-parallel estimate over a freshly simulated sparse trace."""
+    trace = GPUSimulator(gpu).simulate_step(cfg, batch, seq_len, dense=False)
+    return estimate_from_trace(cfg, trace, num_gpus, link)
 
 
 class TestInterconnect:
@@ -92,24 +106,23 @@ class TestGradientPayload:
 
 
 class TestDataParallelSimulator:
+    """Plain data parallelism over simulated per-device traces."""
+
     def test_single_gpu_matches_base_simulator(self):
-        sim = DataParallelSimulator(A40)
-        estimate = sim.estimate(MIXTRAL_8X7B, 4, 128, num_gpus=1)
+        estimate = data_parallel(MIXTRAL_8X7B, 4, 128, num_gpus=1)
         assert estimate.scaling_efficiency == pytest.approx(1.0)
         assert estimate.allreduce_seconds == 0.0
 
     def test_throughput_grows_with_gpus(self):
-        sim = DataParallelSimulator(A40)
         previous = 0.0
         for n in (1, 2, 4, 8):
-            estimate = sim.estimate(MIXTRAL_8X7B, 4, 128, num_gpus=n)
+            estimate = data_parallel(MIXTRAL_8X7B, 4, 128, num_gpus=n)
             assert estimate.queries_per_second > previous
             previous = estimate.queries_per_second
 
     def test_efficiency_monotone_nonincreasing(self):
-        sim = DataParallelSimulator(A40, interconnect=PCIE_GEN4)
         efficiencies = [
-            sim.estimate(BLACKMAMBA_2_8B, 6, 128, num_gpus=n).scaling_efficiency
+            data_parallel(BLACKMAMBA_2_8B, 6, 128, num_gpus=n, link=PCIE_GEN4).scaling_efficiency
             for n in range(1, 9)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(efficiencies, efficiencies[1:]))
@@ -117,52 +130,91 @@ class TestDataParallelSimulator:
 
     def test_qlora_scales_better_than_full_ft(self):
         """Headline of the extension: adapter-only sync is near-free."""
-        sim = DataParallelSimulator(A40, interconnect=PCIE_GEN4)
-        mixtral = sim.estimate(MIXTRAL_8X7B, 4, 128, num_gpus=8)
-        blackmamba = sim.estimate(BLACKMAMBA_2_8B, 6, 128, num_gpus=8)
+        mixtral = data_parallel(MIXTRAL_8X7B, 4, 128, num_gpus=8, link=PCIE_GEN4)
+        blackmamba = data_parallel(BLACKMAMBA_2_8B, 6, 128, num_gpus=8, link=PCIE_GEN4)
         assert mixtral.scaling_efficiency > blackmamba.scaling_efficiency
         assert mixtral.scaling_efficiency > 0.97
 
     def test_nvlink_beats_pcie_for_full_ft(self):
-        nvlink = DataParallelSimulator(A40, interconnect=NVLINK)
-        pcie = DataParallelSimulator(A40, interconnect=PCIE_GEN4)
-        fast = nvlink.estimate(BLACKMAMBA_2_8B, 6, 128, num_gpus=8)
-        slow = pcie.estimate(BLACKMAMBA_2_8B, 6, 128, num_gpus=8)
+        fast = data_parallel(BLACKMAMBA_2_8B, 6, 128, num_gpus=8, link=NVLINK)
+        slow = data_parallel(BLACKMAMBA_2_8B, 6, 128, num_gpus=8, link=PCIE_GEN4)
         assert fast.queries_per_second > slow.queries_per_second
 
     def test_invalid_gpu_count(self):
         with pytest.raises(ValueError):
-            DataParallelSimulator(A40).estimate(MIXTRAL_8X7B, 4, 128, num_gpus=0)
+            data_parallel(MIXTRAL_8X7B, 4, 128, num_gpus=0)
 
     def test_estimate_from_trace_matches_simulator(self):
-        """The trace-based entry point (what the cluster layer feeds with
-        cached traces) is the same model as the simulator path."""
-        from repro.gpu import GPUSimulator
+        """On one GPU the estimate is the single-GPU simulator's
+        throughput, exactly."""
+        for cfg, batch in ((MIXTRAL_8X7B, 4), (BLACKMAMBA_2_8B, 6)):
+            for gpu in (A40, H100):
+                trace = GPUSimulator(gpu).simulate_step(cfg, batch, 128, dense=False)
+                for link in (NVLINK, PCIE_GEN4):
+                    estimate = estimate_from_trace(cfg, trace, 1, link)
+                    assert estimate.queries_per_second == trace.queries_per_second
+                    assert estimate.scaling_efficiency == 1.0
 
-        trace = GPUSimulator(A40).simulate_step(MIXTRAL_8X7B, 4, 128, dense=False)
-        direct = estimate_from_trace(MIXTRAL_8X7B, trace, 4, PCIE_GEN4)
-        via_sim = DataParallelSimulator(A40, interconnect=PCIE_GEN4).estimate(
-            MIXTRAL_8X7B, 4, 128, num_gpus=4
-        )
-        assert direct == via_sim
-        with pytest.raises(ValueError):
-            estimate_from_trace(MIXTRAL_8X7B, trace, 0, PCIE_GEN4)
+
+def candidate(estimate, rate=2.10, num_queries=14000, epochs=10):
+    point = ClusterScenario(
+        model=MIXTRAL_8X7B, gpu="H100-80GB", batch_size=estimate.per_gpu_batch,
+        seq_len=150, num_gpus=estimate.num_gpus,
+    )
+    return ClusterCandidate(
+        scenario=point, provider="test", dollars_per_gpu_hour=rate,
+        estimate=estimate, num_queries=num_queries, epochs=epochs,
+    )
 
 
 class TestMultiGPUCost:
     def test_wall_clock_shrinks_dollars_roughly_flat(self):
         """Perfect scaling keeps dollars constant; comm overhead adds a
         premium — multi-GPU buys time, not money."""
-        sim = DataParallelSimulator(H100, interconnect=NVLINK)
-        one = sim.estimate(MIXTRAL_8X7B, 17, 150, num_gpus=1)
-        four = sim.estimate(MIXTRAL_8X7B, 17, 150, num_gpus=4)
-        cost_one = multi_gpu_cost_dollars(one, 14000, 10, 2.10)
-        cost_four = multi_gpu_cost_dollars(four, 14000, 10, 2.10)
-        assert cost_four == pytest.approx(cost_one, rel=0.1)
+        one = data_parallel(MIXTRAL_8X7B, 17, 150, num_gpus=1, gpu=H100)
+        four = data_parallel(MIXTRAL_8X7B, 17, 150, num_gpus=4, gpu=H100)
+        assert candidate(four).dollars == pytest.approx(candidate(one).dollars, rel=0.1)
+        assert candidate(four).hours < candidate(one).hours
         assert four.queries_per_second > 3 * one.queries_per_second
 
     def test_zero_throughput_infinite_cost(self):
-        from repro.gpu.multigpu import MultiGPUEstimate
-
+        assert wall_clock_hours(10, 0.0) == float("inf")
         estimate = MultiGPUEstimate(1, 1, 1.0, 0.0, 0.0, 0.0)
-        assert multi_gpu_cost_dollars(estimate, 10, 1, 1.0) == float("inf")
+        assert candidate(estimate, rate=1.0, num_queries=10, epochs=1).dollars == float("inf")
+
+
+#: Every ``MultiGPUEstimate`` field of a cluster grid, recorded from the
+#: per-strategy estimates the one formula replaced. Both models x math14k
+#: x A40 and H100-80GB x 1/2/4/8 GPUs x both links x ``parallelism="auto"``
+#: x grad-accum 1 and 4, keyed by scenario label. The plain data-parallel
+#: ``k == 1`` cells pin the two special cases of the formula: computing
+#: their step from ``micro + optimizer`` moves 5 of the 64 plain-DP cells,
+#: and ``compute / step`` efficiency moves 23.
+ESTIMATE_FIXTURE = Path(__file__).parent / "data" / "golden_cluster_estimates.json"
+
+
+def cluster_estimates():
+    """The fixture grid's estimates, as they reach a cluster plan."""
+    from repro.cluster import ClusterPlanner
+    from repro.scenarios import SimulationCache
+
+    estimates = {}
+    for model in ("mixtral-8x7b", "blackmamba-2.8b"):
+        planner = ClusterPlanner(model, dataset="math14k", cache=SimulationCache())
+        sweep = planner.sweep(
+            gpus=("A40", "H100-80GB"), num_gpus=(1, 2, 4, 8),
+            interconnects=("nvlink", "pcie-gen4"), parallelism="auto",
+            max_tp=8, grad_accums=(1, 4),
+        )
+        for candidate in sweep.candidates:
+            label = candidate.scenario.label(include_gpu=True)
+            estimates[label] = dataclasses.asdict(candidate.estimate)
+    return dict(sorted(estimates.items()))
+
+
+def test_cluster_estimates_match_fixture_exactly():
+    golden = json.loads(ESTIMATE_FIXTURE.read_text())
+    measured = cluster_estimates()
+    assert list(measured) == list(golden)
+    for label, fields in golden.items():
+        assert measured[label] == fields, label

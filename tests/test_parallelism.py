@@ -24,6 +24,7 @@ from repro.gpu import (
     estimate_from_trace,
     get_strategy,
     tp_degrees,
+    trainable_gradient_bytes,
 )
 from repro.memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size, memory_breakdown
 from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
@@ -176,7 +177,12 @@ class TestStrategyEstimates:
             MIXTRAL_8X7B, trace, 8, NVLINK, strategy=DATA_PARALLEL
         )
         assert via_strategy == legacy
-        assert DataParallel().estimate(MIXTRAL_8X7B, trace, 8, NVLINK) == legacy
+        assert estimate_from_trace(
+            MIXTRAL_8X7B, trace, 8, NVLINK, strategy=DataParallel()
+        ) == legacy
+        comm = NVLINK.allreduce_seconds(trainable_gradient_bytes(MIXTRAL_8X7B), 8)
+        assert legacy.step_seconds == trace.total_seconds + comm
+        assert legacy.tp_comm_seconds == 0.0
 
     def test_grad_accum_amortizes_sync_and_optimizer(self):
         trace = self._trace(BLACKMAMBA_2_8B, batch=6)
@@ -193,20 +199,20 @@ class TestStrategyEstimates:
     def test_tensor_parallel_estimate_shape(self):
         strategy = TensorParallel(degree=4)
         trace = self._trace(tensor_parallel=4)
-        estimate = strategy.estimate(MIXTRAL_8X7B, trace, 8, NVLINK)
+        estimate = estimate_from_trace(MIXTRAL_8X7B, trace, 8, NVLINK, strategy=strategy)
         assert estimate.tensor_parallel == 4
         assert estimate.data_parallel == 2
         assert estimate.tp_comm_seconds > 0
         assert 0 < estimate.scaling_efficiency <= 1.0
         assert estimate.queries_per_second > 0
         with pytest.raises(ValueError):
-            strategy.estimate(MIXTRAL_8X7B, trace, 6, NVLINK)
+            estimate_from_trace(MIXTRAL_8X7B, trace, 6, NVLINK, strategy=strategy)
 
     def test_tp_comm_cheaper_on_faster_links(self):
         strategy = TensorParallel(degree=4)
         trace = self._trace(tensor_parallel=4)
-        fast = strategy.estimate(MIXTRAL_8X7B, trace, 4, NVLINK)
-        slow = strategy.estimate(MIXTRAL_8X7B, trace, 4, PCIE_GEN4)
+        fast = estimate_from_trace(MIXTRAL_8X7B, trace, 4, NVLINK, strategy=strategy)
+        slow = estimate_from_trace(MIXTRAL_8X7B, trace, 4, PCIE_GEN4, strategy=strategy)
         assert fast.tp_comm_seconds < slow.tp_comm_seconds
         assert fast.queries_per_second > slow.queries_per_second
 

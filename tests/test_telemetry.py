@@ -32,6 +32,7 @@ from repro.telemetry import (
     metric_events,
     reset_default_tracer,
     resolve_tracer,
+    run_events,
     validate_event,
     validate_file,
     write_events,
@@ -299,6 +300,11 @@ class TestManifest:
         assert counts["manifest"] == 1
         assert counts["span"] == 1
         assert sum(counts.values()) == lines
+        # The file holds exactly the list a run store ingests.
+        written = [json.loads(line) for line in path.read_text().splitlines()]
+        assert written == run_events(tracer, cache.metrics.snapshot(), manifest)
+        assert [e["type"] for e in written][0] == "span"
+        assert written[-1] == manifest
 
     def test_crashed_write_events_leaves_no_truncated_file(self, tmp_path):
         """Atomic-write contract: an export that dies mid-write must not
@@ -370,10 +376,7 @@ class TestDeterminism:
         SweepRunner(cache=cache, tracer=tracer).run(GRID)
         manifest = build_manifest("sweep", {}, tracer,
                                   cache.stats(), grid=grid_digest(GRID))
-        events = list(tracer.export())
-        events.extend(metric_events(cache.metrics.snapshot()))
-        events.append(manifest)
-        return events
+        return run_events(tracer, cache.metrics.snapshot(), manifest)
 
     def test_compare_verdict_stable_across_warm_runs(self):
         """The regression gate must not flip between repeated warm runs:
