@@ -13,7 +13,7 @@ The pipeline estimates, for a model + dataset + GPU:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from ..cloud.pricing import DEFAULT_CATALOG, PriceCatalog
 from ..data.registry import DATASET_STATS
@@ -21,6 +21,9 @@ from ..gpu.specs import GPUSpec
 from ..memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size
 from ..models.config import BlackMambaConfig, MixtralConfig
 from ..scenarios import Scenario, SimulationCache, resolve_cache
+
+if TYPE_CHECKING:
+    from .throughput import ThroughputModel
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -102,9 +105,8 @@ class FineTuningCostModel:
         )
 
     # ------------------------------------------------------------------
-    def throughput_model(self, gpu: GPUSpec):
-        """Fit Eq. 2 for one GPU from a simulated sweep: a
-        :class:`~repro.core.throughput.ThroughputModel`. The fit is a pure
+    def throughput_model(self, gpu: GPUSpec) -> ThroughputModel:
+        """Fit Eq. 2 for one GPU from a simulated sweep. The fit is a pure
         function of the cached traces, so it is memoized on the simulation
         cache — keyed by the full GPU spec, shared across cost-model
         instances. The fit code is imported here, not at module level, so

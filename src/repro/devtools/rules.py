@@ -91,15 +91,32 @@ class ImportMap:
         return out
 
 
+def _is_type_checking(test: ast.AST) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``: false at run time."""
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    return (
+        isinstance(test, ast.Attribute)
+        and test.attr == "TYPE_CHECKING"
+        and isinstance(test.value, ast.Name)
+        and test.value.id == "typing"
+    )
+
+
 def _walk_module_level(tree: ast.AST) -> Iterator[ast.AST]:
     """``ast.walk`` (same breadth-first order) that never enters a
-    function or lambda: the nodes executed when the module is imported."""
+    function or lambda, nor the body of an ``if TYPE_CHECKING:`` (its
+    ``else:`` runs): the nodes executed when the module is imported."""
     todo = deque([tree])
     while todo:
         node = todo.popleft()
         yield node
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            children = node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
         todo.extend(
-            child for child in ast.iter_child_nodes(node)
+            child for child in children
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
         )
 

@@ -9,8 +9,11 @@ sweep a first-class object:
 * :class:`ScenarioGrid` — declarative enumeration (cartesian products,
   batch sweeps, filters);
 * :class:`SimulationCache` — thread-safe, in-memory ``simulate_step``
-  traces keyed by scenario, with hit/miss accounting and an optional
-  LRU bound;
+  traces keyed by scenario, plus derived results, with hit/miss
+  accounting and an optional LRU bound;
+* :class:`SingleFlight` — the one single-flight primitive: the cache's
+  concurrent misses and the planning service's identical concurrent
+  requests each run one computation;
 * :class:`SweepRunner` — serial, deterministic grid execution into
   :class:`SweepPoint` results.
 
@@ -32,11 +35,10 @@ from .cache import (
 from .grid import ScenarioGrid
 from .runner import SweepPoint, SweepRunner
 from .scenario import Scenario, canonical_value, freeze_overrides
-from .singleflight import InFlightMap, SingleFlight
+from .singleflight import SingleFlight
 
 __all__ = [
     "CacheStats",
-    "InFlightMap",
     "Scenario",
     "ScenarioGrid",
     "SimulationCache",

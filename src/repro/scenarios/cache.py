@@ -18,8 +18,16 @@ The cache lives in memory only. ``stats()`` reports ``hits`` (traces
 plus derived results), ``misses``, and ``simulations`` — the ground
 truth "how many times did ``simulate_step`` actually run", which is what
 the zero-redundant-simulation acceptance criteria assert against. A
-bounded cache (``capacity=N``) drops least-recently-used entries; a
-later lookup of a dropped entry simply simulates it again.
+bounded cache (``capacity=N``, its one option) drops least-recently-used
+entries; a later lookup of a dropped entry simply simulates it again.
+
+Traces and derived results (:meth:`SimulationCache.memoize`: Eq. 2
+fits, plan sweeps, risk distributions, the service's plan memo) go
+through one lookup path, in two namespaces, ``"trace"`` and
+``"derived"``. Concurrent misses on one key collapse on the cache's
+:class:`~repro.scenarios.singleflight.SingleFlight`: one thread
+computes, the others receive its value, or its exception if it raised.
+A failed computation stores nothing, so the next lookup computes again.
 """
 
 from __future__ import annotations
@@ -27,14 +35,17 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
-from ..gpu.simulator import GPUSimulator, SoftwareOverhead
+from ..gpu.simulator import GPUSimulator
 from ..gpu.specs import GPUSpec
 from ..gpu.trace import StepTrace
 from ..telemetry.metrics import MetricsRegistry
 from .scenario import ModelConfig, Scenario, freeze_overrides
-from .singleflight import InFlightMap
+from .singleflight import SingleFlight
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -82,10 +93,21 @@ class CacheStats:
 class SimulationCache:
     """Memoizes :meth:`GPUSimulator.simulate_step` traces by scenario key.
 
-    Thread-safe: the planning service's request threads share one cache,
-    and concurrent misses on one key collapse into a single computation.
+    Traces (:meth:`simulate`, namespace ``"trace"``) and derived results
+    (:meth:`memoize`, namespace ``"derived"``) share one lookup path,
+    :meth:`_lookup`. A hit is one lock and one dict read. A miss enters
+    the cache's own :class:`~repro.scenarios.singleflight.SingleFlight`
+    keyed ``(namespace, key)``, so concurrent misses on one key run one
+    computation and a trace key never waits on a derived one; the
+    threads that received the leader's value count as hits. If the
+    computation raises, every concurrent waiter gets the leader's
+    exception and nothing is stored, so the next lookup computes again.
+
+    Thread-safe: the planning service's request threads share one cache.
     Each simulator instance is also cached per GPU spec so repeated
-    sweeps on the same hardware reuse one simulator.
+    sweeps on the same hardware reuse one simulator. The one option,
+    ``capacity``, bounds each table on its own (``None``, the default,
+    is unbounded).
 
     Scenario subclasses that extend the space with axes the per-device
     step does not depend on (``repro.cluster.ClusterScenario``'s
@@ -93,15 +115,9 @@ class SimulationCache:
     so all their variants share one memoized replica trace here.
     """
 
-    def __init__(
-        self,
-        overheads: Optional[Dict[str, SoftwareOverhead]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self._overheads = overheads
         # None = unbounded (the CLI default: a sweep is finite). A
         # long-lived server sets a bound; the cache then drops
         # least-recently-used entries, and a later lookup recomputes
@@ -111,17 +127,12 @@ class SimulationCache:
         self._simulators: Dict[GPUSpec, GPUSimulator] = {}
         self._traces: Dict[Tuple, StepTrace] = {}
         self._derived: Dict[Tuple, object] = {}
-        # Trace keys and derived keys live in disjoint in-flight maps: a
-        # derived key that happened to equal a trace key must not make one
-        # computation wait on (or mask) the other. The maps are bare
-        # marker tables; this cache's _lock guards them.
-        self._inflight_traces = InFlightMap()
-        self._inflight_derived = InFlightMap()
+        self._flight = SingleFlight()
         self._lock = threading.Lock()
         # The accounting counters are first-class metrics: stats() reads
         # them back out of the registry, so CacheStats and a telemetry
         # export can never disagree about what the cache did.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._hits = self.metrics.counter("cache.hits")
         self._misses = self.metrics.counter("cache.misses")
         self._simulations = self.metrics.counter("cache.simulations")
@@ -143,77 +154,21 @@ class SimulationCache:
         return self._capacity
 
     # ------------------------------------------------------------------
-    # LRU plumbing. Both helpers are called with self._lock held — they
-    # are the "check/install/evict" half of an operation whose hit/miss
-    # accounting must be atomic.
-    def _touch(self, key: Tuple) -> None:
-        """Mark ``key`` most-recently-used (caller holds ``_lock``).
-        Only bounded caches pay the reorder; unbounded ones keep the
-        original single-dict-read hit path."""
-        if self._capacity is not None and key in self._traces:
-            self._traces[key] = self._traces.pop(key)  # repro: allow[lock-discipline] caller holds self._lock
-
-    def _install(self, key: Tuple, trace: StepTrace) -> None:
-        """Install a simulated trace (caller holds ``_lock``), dropping
-        least-recently-used entries past ``capacity``."""
-        self._traces[key] = trace  # repro: allow[lock-discipline] caller holds self._lock
-        if self._capacity is None:
-            return
-        while len(self._traces) > self._capacity:
-            self._traces.pop(next(iter(self._traces)))  # repro: allow[lock-discipline] caller holds self._lock
-            self._evictions.inc()
-
-    # ------------------------------------------------------------------
     def simulator(self, gpu: GPUSpec) -> GPUSimulator:
         """The (cached) simulator for one GPU spec."""
         with self._lock:
             sim = self._simulators.get(gpu)
             if sim is None:
-                sim = GPUSimulator(gpu, overheads=self._overheads)
+                sim = GPUSimulator(gpu)
                 self._simulators[gpu] = sim
             return sim
 
     def simulate(self, scenario: Scenario) -> StepTrace:
-        """The step trace for one scenario, simulating at most once.
-
-        Concurrent misses on the same key collapse: one thread simulates
-        while the others wait on the in-flight marker, so concurrent
-        requests for one point never run ``simulate_step`` twice.
-        """
-        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
-        key = scenario.key()
-        while True:
-            with self._lock:
-                trace = self._traces.get(key)
-                if trace is not None:
-                    self._touch(key)
-                    self._hits.inc()
-                    self._memory_seconds.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                    return trace
-                event, leader = self._inflight_traces.claim(key)
-                if leader:
-                    self._misses.inc()
-                    self._simulations.inc()
-                    break  # this thread simulates
-            event.wait()  # another thread is computing; re-read after it
-        try:
-            sim = self.simulator(scenario.gpu_spec)
-            trace = sim.simulate_step(
-                scenario.config,
-                scenario.batch_size,
-                scenario.resolved_seq_len,
-                dense=scenario.dense,
-                **scenario.overrides_dict(),
-            )
-            with self._lock:
-                self._install(key, trace)
-            self._simulated_seconds.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-            return trace
-        finally:
-            # On failure waiters loop, find no trace, and one retries.
-            with self._lock:
-                self._inflight_traces.release(key)
-            event.set()
+        """The step trace for one scenario, simulating at most once."""
+        return self._lookup(
+            self._traces, "trace", scenario.key(), scenario,
+            self._hits, self._misses, self._memory_seconds, self._simulated_seconds,
+        )
 
     def trace(
         self,
@@ -249,45 +204,80 @@ class SimulationCache:
         the counter pair: ``"derived"`` (default) books into hits/misses
         alongside trace lookups; ``"risk"`` books into the dedicated
         ``risk_hits``/``risk_misses`` telemetry so the spot planner's
-        memoized risk results are distinguishable from trace traffic."""
-        if kind not in ("derived", "risk"):
+        memoized risk results are distinguishable from trace traffic.
+        Both kinds share the one derived namespace."""
+        if kind == "derived":
+            hits, misses = self._hits, self._misses
+        elif kind == "risk":
+            hits, misses = self._risk_hits, self._risk_misses
+        else:
             raise ValueError(f"kind must be 'derived' or 'risk', got {kind!r}")
-        risk = kind == "risk"
-        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
         latency = self._memoize_seconds[kind]
-        while True:
-            with self._lock:
-                if key in self._derived:
-                    if self._capacity is not None:
-                        self._derived[key] = self._derived.pop(key)  # LRU touch
-                    if risk:
-                        self._risk_hits.inc()
-                    else:
-                        self._hits.inc()
-                    latency.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                    return self._derived[key]
-                event, leader = self._inflight_derived.claim(key)
-                if leader:
-                    if risk:
-                        self._risk_misses.inc()
-                    else:
-                        self._misses.inc()
-                    break  # this thread computes
-            event.wait()
-        try:
-            value = compute()
-            with self._lock:
-                self._derived[key] = value
+        return self._lookup(
+            self._derived, "derived", key, compute, hits, misses, latency, latency
+        )
+
+    def _lookup(self, table, namespace, key, source, hits, misses, hit_seconds, miss_seconds):
+        """The value ``table`` holds for ``key``, computed at most once.
+
+        A hit books ``hits`` and ``hit_seconds``. A miss enters the
+        flight for ``(namespace, key)``, whose leader runs :meth:`_fill`;
+        the callers that shared the leader's value book a hit. ``source``
+        is the scenario in the ``"trace"`` namespace and the zero-argument
+        ``compute`` in ``"derived"``. (No closure here: a nested function
+        would turn its free variables into cells on every call, hits
+        included.)
+        """
+        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
+        with self._lock:
+            value = table.get(key, _MISSING)
+            if value is not _MISSING:
                 if self._capacity is not None:
-                    while len(self._derived) > self._capacity:
-                        self._derived.pop(next(iter(self._derived)))
-                        self._evictions.inc()
-            latency.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-            return value
-        finally:
-            with self._lock:
-                self._inflight_derived.release(key)
-            event.set()
+                    table[key] = table.pop(key)  # LRU touch
+                hits.inc()
+                hit_seconds.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
+                return value
+        (value, computed), shared = self._flight.do(
+            (namespace, key),
+            partial(self._fill, table, namespace, key, source, hits, misses),
+        )
+        if shared:
+            hits.inc()
+        latency = hit_seconds if shared or not computed else miss_seconds
+        latency.observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
+        return value
+
+    def _fill(self, table, namespace, key, source, hits, misses):
+        """The flight leader's half of :meth:`_lookup`: ``(value,
+        computed)``. It reads the table again, since another leader may
+        have installed the value after this thread missed; otherwise it
+        books a miss, computes, installs, and drops the least-recently-used
+        entries past ``capacity``."""
+        with self._lock:
+            value = table.get(key, _MISSING)
+            if value is not _MISSING:
+                hits.inc()
+                return value, False
+            misses.inc()
+        if namespace == "trace":
+            sim = self.simulator(source.gpu_spec)
+            self._simulations.inc()
+            value = sim.simulate_step(
+                source.config,
+                source.batch_size,
+                source.resolved_seq_len,
+                dense=source.dense,
+                **source.overrides_dict(),
+            )
+        else:
+            value = source()
+        with self._lock:
+            table[key] = value
+            if self._capacity is not None:
+                while len(table) > self._capacity:
+                    table.pop(next(iter(table)))
+                    self._evictions.inc()
+        return value, True
 
     # ------------------------------------------------------------------
     def counts(self) -> Tuple[int, int, int, int, int, int]:

@@ -1,21 +1,17 @@
-"""Single-flight primitives: collapse concurrent duplicate work.
+"""Single-flight: collapse concurrent duplicate work.
 
-:class:`SimulationCache` has always collapsed concurrent misses on one
-scenario key — the first thread resolves disk/simulate while the rest
-wait on an in-flight marker. The planning service needs the same shape
-one level up (N identical concurrent plan *requests* must cost one plan
-computation), so the machinery lives here as two reusable pieces:
+:class:`SingleFlight` is the repo's one single-flight primitive, and it
+has two users. :class:`~repro.scenarios.cache.SimulationCache` routes
+every miss through its own instance, keyed ``(namespace, key)``, so
+concurrent misses on one trace or one derived result run one
+computation. The planning service coalesces identical concurrent plan
+*requests* with another, so N of them cost one plan computation.
 
-* :class:`InFlightMap` — the bare marker table. It holds **no lock of
-  its own**: the caller claims/releases under the caller's lock, which
-  keeps "check the result table, then claim the in-flight slot" one
-  atomic step (the property the cache's hit/miss accounting depends
-  on). ``Event.set()`` happens outside any lock, as before.
-* :class:`SingleFlight` — self-contained result sharing for callers
-  without their own result table. The leader runs the function; every
-  concurrent duplicate receives the leader's exact return value (or
-  re-raises the leader's exception). Results are *not* cached beyond
-  the in-flight window — callers wanting memoization layer it on top.
+The leader runs the function; every concurrent duplicate receives the
+leader's exact return value, or re-raises the leader's exception.
+Results are *not* kept beyond the in-flight window: a caller wanting
+memoization keeps its own result table and consults it before entering
+the flight, as the cache does.
 """
 
 from __future__ import annotations
@@ -24,44 +20,6 @@ import threading
 from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
-
-
-class InFlightMap:
-    """Keyed in-flight markers, locked by the *caller*.
-
-    Every method must be called while holding the lock that also guards
-    the caller's result table; this class is deliberately lock-free so
-    the claim can be atomic with the caller's own "is it already done?"
-    check. The returned event's ``set()`` is the one operation the
-    caller performs outside the lock (waking waiters must not require
-    the lock the waiters are about to take).
-    """
-
-    def __init__(self) -> None:
-        self._events: Dict[Hashable, threading.Event] = {}
-
-    def claim(self, key: Hashable) -> Tuple[threading.Event, bool]:
-        """The in-flight event for ``key`` plus whether this caller is
-        the leader (it created the marker and must resolve the work,
-        then :meth:`release` and ``set()`` the event)."""
-        event = self._events.get(key)
-        if event is not None:
-            return event, False
-        event = threading.Event()
-        self._events[key] = event
-        return event, True
-
-    def release(self, key: Hashable) -> None:
-        """Drop the marker for ``key`` (leader-side, under the caller's
-        lock, before setting the event). Missing keys are a no-op so a
-        ``finally`` block can release unconditionally."""
-        self._events.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._events
 
 
 class _Call:

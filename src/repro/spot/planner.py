@@ -58,7 +58,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cloud.pricing import PriceCatalog
 from ..cluster.planner import (
@@ -74,7 +74,6 @@ from ..scenarios.scenario import ModelConfig
 from ..telemetry.tracer import Tracer
 from .checkpoint import (
     DEFAULT_DISK_BANDWIDTH_GBS,
-    DEFAULT_PROVISION_SECONDS,
     CheckpointPolicy,
     checkpoint_state_gb,
     optimal_interval_minutes,
@@ -417,8 +416,12 @@ class RiskAdjustedPlanner(ClusterPlanner):
     The sweep, memory filtering, trace caching and on-demand pricing are
     inherited (including the parallelism-strategy axes — checkpoint costs
     automatically use the *per-device* sharded state under tensor
-    parallelism); this class adds per-provider spot markets, a checkpoint
-    policy derived from the model's state size, and the risk estimators.
+    parallelism); this class adds per-provider spot markets (the registry
+    market, with ``mtbp_hours`` overriding its MTBP when given), a
+    checkpoint policy derived from the model's state size at
+    :meth:`CheckpointPolicy.for_model
+    <repro.spot.checkpoint.CheckpointPolicy.for_model>`'s default disk
+    bandwidth and provisioning time, and the risk estimators.
     ``checkpoint_minutes=None`` (the default) gives every spot candidate
     Daly's closed-form optimal cadence ``sqrt(2 * MTBP * C)`` for its own
     fleet hazard and write cost; an explicit menu overrides it — each
@@ -444,11 +447,8 @@ class RiskAdjustedPlanner(ClusterPlanner):
         seq_len: Optional[int] = None,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        markets: Optional[Mapping[str, SpotMarket]] = None,
         mtbp_hours: Optional[float] = None,
         checkpoint_minutes: Optional[Sequence[float]] = None,
-        disk_bandwidth_gbs: float = DEFAULT_DISK_BANDWIDTH_GBS,
-        provision_seconds: float = DEFAULT_PROVISION_SECONDS,
         trials: int = DEFAULT_TRIALS,
         seed: int = DEFAULT_SEED,
         risk_mode: str = DEFAULT_RISK_MODE,
@@ -464,7 +464,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             cache=cache,
             tracer=tracer,
         )
-        self.markets = dict(markets) if markets is not None else {}
         self.mtbp_hours = mtbp_hours
         if checkpoint_minutes is None:
             self.checkpoint_minutes: Optional[Tuple[float, ...]] = None  # Daly mode
@@ -472,12 +471,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             self.checkpoint_minutes = tuple(dict.fromkeys(checkpoint_minutes))
             if not self.checkpoint_minutes:
                 raise ValueError("checkpoint_minutes must name at least one cadence")
-        if disk_bandwidth_gbs <= 0:
-            raise ValueError(
-                f"disk_bandwidth_gbs must be positive, got {disk_bandwidth_gbs}"
-            )
-        self.disk_bandwidth_gbs = disk_bandwidth_gbs
-        self.provision_seconds = provision_seconds
         self._policy_cache: Dict[Tuple[int, float], CheckpointPolicy] = {}
         self.simulator = SpotSimulator(trials=trials, seed=seed)
         self.seed = seed
@@ -489,12 +482,9 @@ class RiskAdjustedPlanner(ClusterPlanner):
 
     # ------------------------------------------------------------------
     def market_for(self, provider: str) -> SpotMarket:
-        """The provider's interruption model: an explicit mapping entry,
-        else the registry default — with the planner-wide MTBP override
-        (``--mtbp-hours``) applied on top of either."""
-        market = self.markets.get(provider)
-        if market is None:
-            market = get_spot_market(provider)
+        """The provider's interruption model: the registry default, with
+        the planner-wide MTBP override (``--mtbp-hours``) applied."""
+        market = get_spot_market(provider)
         if self.mtbp_hours is not None:
             market = market.with_mtbp(self.mtbp_hours)
         return market
@@ -513,8 +503,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             policy = CheckpointPolicy.for_model(
                 self.cfg,
                 interval_minutes=interval_minutes,
-                disk_bandwidth_gbs=self.disk_bandwidth_gbs,
-                provision_seconds=self.provision_seconds,
                 tensor_parallel=tensor_parallel,
             )
             self._policy_cache[key] = policy
@@ -530,7 +518,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
         if self.checkpoint_minutes is not None:
             return self.checkpoint_minutes
         write_seconds = (
-            checkpoint_state_gb(self.cfg, tensor_parallel) / self.disk_bandwidth_gbs
+            checkpoint_state_gb(self.cfg, tensor_parallel) / DEFAULT_DISK_BANDWIDTH_GBS
         )
         if fleet_rate_per_hour > 0:
             interval = optimal_interval_minutes(
@@ -539,16 +527,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
         else:
             interval = float("inf")  # never preempted: one segment
         return (min(interval, max(work_hours, 1e-9) * 60.0),)
-
-    def _cadence_axis(self) -> Tuple:
-        """The part of the spot sweep key describing how cadences
-        are generated: the explicit menu (or the Daly marker) plus the
-        write/restart cost model knobs that shape every policy."""
-        return (
-            self.checkpoint_minutes,
-            self.disk_bandwidth_gbs,
-            self.provision_seconds,
-        )
 
     def _risk_distributions(
         self,
@@ -692,9 +670,10 @@ class RiskAdjustedPlanner(ClusterPlanner):
         Its key extends the cluster sweep's key (see
         :meth:`ClusterPlanner.sweep`) with the tier mode, each resolved
         provider's market digest (which carries the MTBP override), the
-        cadence axis, the risk mode, the trial count and the seed. A hit
-        is one lookup: the value holds its cluster sweep and serving
-        distributions itself, so it never re-reads the risk memo.
+        checkpoint menu (``None`` in Daly mode), the risk mode, the trial
+        count and the seed. A hit is one lookup: the value holds its
+        cluster sweep and serving distributions itself, so it never
+        re-reads the risk memo.
         """
         key, providers, compute = self._sweep_request(**sweep_kwargs)
         spot_key = (
@@ -702,7 +681,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
             key,
             spot,
             tuple(self.market_for(provider).digest() for provider in providers),
-            self._cadence_axis(),
+            self.checkpoint_minutes,
             self.risk_mode,
             self.simulator.trials,
             self.seed,

@@ -66,7 +66,7 @@ class TestRulesFire:
         ("src/repro/telemetry/atomic_bad.py", "atomic-writes", 1),
         ("src/repro/nn/layering_bad.py", "import-layering", 2),
         ("src/repro/scenarios/layering_bad.py", "import-layering", 2),
-        ("src/repro/cluster/layering_bad.py", "import-layering", 2),
+        ("src/repro/cluster/layering_bad.py", "import-layering", 3),
     ]
 
     QUIET = [

@@ -359,6 +359,81 @@ class TestSimulationCache:
         assert stats.simulations == 1
         assert (stats.misses, stats.hits, stats.entries) == (1, THREADS - 1, 1)
 
+    @staticmethod
+    def _failing_leader(cache, calls):
+        """A computation that raises once every other racer waits on its
+        flight, so the assertions are about sharing, not machine speed."""
+
+        def boom(*_args, **_kwargs):
+            calls.append(1)
+            deadline = time.monotonic() + 10.0
+            while (cache._flight.stats()["shared"] < THREADS - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            raise RuntimeError("leader failed")
+
+        return boom
+
+    @staticmethod
+    def _race_to_errors(call):
+        def attempt():
+            try:
+                call()
+            except RuntimeError as exc:
+                return exc
+            return None
+
+        return race(THREADS, attempt)
+
+    def test_racing_failed_simulates_share_the_leaders_exception(self):
+        """Racing simulate calls whose ``simulate_step`` raises all get the
+        leader's exception; nothing is stored or left in flight, and the
+        next call simulates again."""
+        cache = SimulationCache()
+        s = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)
+        simulator = cache.simulator(A40)
+        calls = []
+        simulator.simulate_step = self._failing_leader(cache, calls)
+        errors = self._race_to_errors(lambda: cache.simulate(s))
+        assert len(calls) == 1
+        assert errors[0] is not None and all(e is errors[0] for e in errors)
+        assert cache._flight.stats()["inflight"] == 0
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.simulations, stats.entries) == (1, 0, 1, 0)
+        del simulator.simulate_step  # back to the real method
+        cache.simulate(s)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.simulations, stats.entries) == (2, 0, 2, 1)
+
+    def test_racing_failed_memoizes_share_the_leaders_exception(self):
+        cache = SimulationCache()
+        calls = []
+        boom = self._failing_leader(cache, calls)
+        errors = self._race_to_errors(lambda: cache.memoize(("k",), boom))
+        assert len(calls) == 1
+        assert errors[0] is not None and all(e is errors[0] for e in errors)
+        assert cache._flight.stats()["inflight"] == 0
+        assert (cache.stats().misses, cache.stats().derived_entries) == (1, 0)
+        assert cache.memoize(("k",), lambda: "fit") == "fit"
+        stats = cache.stats()
+        assert (stats.misses, stats.hits, stats.derived_entries) == (2, 0, 1)
+
+    @pytest.mark.parametrize("capacity", [None, 4])
+    def test_hits_never_enter_the_flight(self, capacity):
+        """A warm lookup is served from the table alone: the flight's
+        leader and shared counts do not move."""
+        cache = SimulationCache(capacity=capacity)
+        s = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)
+        trace = cache.simulate(s)
+        cache.memoize(("k",), lambda: "fit")
+        before = cache._flight.stats()
+        assert before == {"leaders": 2, "shared": 0, "inflight": 0}
+        for _ in range(50):
+            assert cache.simulate(s) is trace
+            assert cache.memoize(("k",), lambda: "recomputed") == "fit"
+        assert cache._flight.stats() == before
+        assert (cache.stats().hits, cache.stats().misses) == (100, 2)
+
     def test_clear_and_contains(self):
         cache = SimulationCache()
         s = Scenario(model=BLACKMAMBA_2_8B, gpu=A40, batch_size=1, seq_len=64)

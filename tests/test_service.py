@@ -23,7 +23,6 @@ from repro.cloud.pricing import DEFAULT_CATALOG, GPUPrice, PriceCatalog
 from repro.cluster.planner import ClusterPlanner
 from repro.cluster.plan import main as cluster_plan_main
 from repro.scenarios import (
-    InFlightMap,
     Scenario,
     SimulationCache,
     SingleFlight,
@@ -55,26 +54,8 @@ def scenario(batch_size=1, dense=False):
 
 
 # ---------------------------------------------------------------------------
-# Single-flight primitives
+# Single-flight
 # ---------------------------------------------------------------------------
-
-class TestInFlightMap:
-    def test_claim_release(self):
-        inflight = InFlightMap()
-        event, leader = inflight.claim("k")
-        assert leader and "k" in inflight and len(inflight) == 1
-        again, second = inflight.claim("k")
-        assert again is event and not second
-        inflight.release("k")
-        assert "k" not in inflight
-        inflight.release("k")  # idempotent
-
-    def test_keys_are_independent(self):
-        inflight = InFlightMap()
-        _, first = inflight.claim("a")
-        _, second = inflight.claim("b")
-        assert first and second
-
 
 class TestSingleFlight:
     def test_sequential_calls_each_lead(self):
