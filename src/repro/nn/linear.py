@@ -7,6 +7,11 @@ regimes:
 * Mixtral QLoRA → :class:`QuantizedLinear` frozen base weights that are
   dequantized on every forward (the Fig. 6 ``*_dequant`` kernels), with
   :class:`LoRALinear` adapters adding the trainable low-rank path.
+
+Both base classes hand :class:`LoRALinear` their weight as a dense tensor
+through ``dense_weight``, so one path serves either base: the weight, the
+input and the adapter go to :func:`~repro.tensor.ops.lora_linear`, one
+autograd node per projection.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from ..quant import QuantizedTensor, quantize
 from ..rng import resolve_rng
-from ..tensor import Tensor
+from ..tensor import Tensor, ops
 from .module import Module, Parameter
 
 
@@ -42,6 +47,11 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(rng.uniform(-scale, scale, (out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
+
+    def dense_weight(self, dtype=None) -> Tensor:
+        """The ``(out, in)`` weight parameter itself, as :class:`LoRALinear`
+        reads it; ``dtype`` only matters to a quantized base's decode."""
+        return self.weight
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight.T
@@ -76,10 +86,13 @@ class QuantizedLinear(Module):
             raise ValueError("QuantizedLinear does not support bias")
         return cls(linear.in_features, linear.out_features, linear.weight.data, block_size=block_size)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def dense_weight(self, dtype=np.float64) -> Tensor:
+        """The decoded ``(out, in)`` weight: one dequant kernel launch."""
         self.dequant_calls += 1
-        weight = Tensor(self.quantized.dequantize(dtype=x.dtype))
-        return x @ weight.T
+        return Tensor(self.quantized.dequantize(dtype=dtype))
+
+    def forward(self, x: Tensor) -> Tensor:
+        return x @ self.dense_weight(x.dtype).T
 
     def __repr__(self) -> str:
         return f"QuantizedLinear(in={self.in_features}, out={self.out_features}, nf4)"
@@ -90,7 +103,9 @@ class LoRALinear(Module):
 
     ``y = base(x) + (alpha / r) * (x @ A^T) @ B^T`` where ``A`` (r x in) is
     Gaussian-initialized and ``B`` (out x r) starts at zero so the adapter
-    is a no-op at step 0 (Hu et al., 2021).
+    is a no-op at step 0 (Hu et al., 2021). The base is a
+    :class:`QuantizedLinear` or an unbiased :class:`Linear`; either way
+    the forward is one :func:`~repro.tensor.ops.lora_linear` node.
     """
 
     def __init__(
@@ -103,6 +118,8 @@ class LoRALinear(Module):
         super().__init__()
         if rank <= 0:
             raise ValueError(f"LoRA rank must be positive, got {rank}")
+        if getattr(base, "bias", None) is not None:
+            raise ValueError("LoRALinear does not support a biased base")
         rng = resolve_rng(rng)
         in_features = base.in_features
         out_features = base.out_features
@@ -124,9 +141,8 @@ class LoRALinear(Module):
         return self.base.out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        frozen = self.base(x)
-        low_rank = (x @ self.lora_a.T) @ self.lora_b.T
-        return frozen + low_rank * self.scaling
+        weight = self.base.dense_weight(x.dtype)
+        return ops.lora_linear(x, weight, self.lora_a, self.lora_b, self.scaling)
 
     def num_adapter_parameters(self) -> int:
         return self.lora_a.size + self.lora_b.size

@@ -10,7 +10,10 @@ forward pass. This module reimplements that scheme:
   packed 4-bit codes (two codes per byte) plus per-block scales.
 * :meth:`QuantizedTensor.dequantize` — exact decode used by the
   quantized-linear layer; this is the operation that shows up as the
-  ``*_dequant`` kernels of the paper's Fig. 6.
+  ``*_dequant`` kernels of the paper's Fig. 6. Each packed byte holds two
+  codes, so the decode is one ``np.take`` from a 256-row table of level
+  pairs (:data:`_NF4_PAIRS`) and one in-place multiply by the block
+  scales.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ NF4_CODEBOOK = np.array(
 
 # Decision boundaries (midpoints) for nearest-level encoding via searchsorted.
 _NF4_BOUNDARIES = (NF4_CODEBOOK[1:] + NF4_CODEBOOK[:-1]) / 2.0
+
+# Row ``byte`` holds the levels of its high and low nibble, in that order.
+_BYTES = np.arange(256)
+_NF4_PAIRS = np.stack([NF4_CODEBOOK[_BYTES >> 4], NF4_CODEBOOK[_BYTES & 0x0F]], axis=1)
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -81,14 +88,9 @@ class QuantizedTensor:
 
     def dequantize(self, dtype=np.float64) -> np.ndarray:
         """Decode back to floating point (the QLoRA forward-pass dequant)."""
-        n = self.num_elements
-        padded = _ceil_to(n, self.block_size)
-        codes = np.empty(padded, dtype=np.uint8)
-        codes[0::2] = self.packed >> 4
-        codes[1::2] = self.packed & 0x0F
-        values = NF4_CODEBOOK[codes].reshape(-1, self.block_size)
-        values = values * self.scales[:, None]
-        return values.reshape(-1)[:n].reshape(self.shape).astype(dtype)
+        values = np.take(_NF4_PAIRS, self.packed, axis=0).reshape(-1, self.block_size)
+        values *= self.scales[:, None]  # float32 scales widen exactly to float64
+        return values.reshape(-1)[: self.num_elements].reshape(self.shape).astype(dtype, copy=False)
 
 
 def _ceil_to(n: int, multiple: int) -> int:

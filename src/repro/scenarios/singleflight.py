@@ -8,7 +8,8 @@ computation. The planning service coalesces identical concurrent plan
 *requests* with another, so N of them cost one plan computation.
 
 The leader runs the function; every concurrent duplicate receives the
-leader's exact return value, or re-raises the leader's exception.
+leader's exact return value, or re-raises the leader's exception object
+with the leader's traceback, so each raise adds only its own frames.
 Results are *not* kept beyond the in-flight window: a caller wanting
 memoization keeps its own result table and consults it before entering
 the flight, as the cache does.
@@ -17,6 +18,7 @@ the flight, as the cache does.
 from __future__ import annotations
 
 import threading
+from types import TracebackType
 from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -25,12 +27,13 @@ T = TypeVar("T")
 class _Call:
     """One in-flight computation: completion event plus its outcome."""
 
-    __slots__ = ("event", "value", "error")
+    __slots__ = ("event", "value", "error", "traceback")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.value: Optional[object] = None
         self.error: Optional[BaseException] = None
+        self.traceback: Optional[TracebackType] = None
 
 
 class SingleFlight:
@@ -42,8 +45,10 @@ class SingleFlight:
     object, so a service handing out serialized bytes hands every
     coalesced caller byte-identical payloads. A leader exception
     propagates to every waiter (they asked the same question; they get
-    the same answer). Once the leader finishes, the key is forgotten:
-    this is coalescing, not caching.
+    the same answer). Each waiter raises it with the traceback it had
+    in the leader, not the shared ``__traceback__``, onto which every
+    earlier raise has already added its frames. Once the leader
+    finishes, the key is forgotten: this is coalescing, not caching.
     """
 
     def __init__(self) -> None:
@@ -69,12 +74,12 @@ class SingleFlight:
         if not leader:
             call.event.wait()
             if call.error is not None:
-                raise call.error
+                raise call.error.with_traceback(call.traceback)
             return call.value, True  # type: ignore[return-value]
         try:
             value = fn()
         except BaseException as exc:
-            call.error = exc
+            call.error, call.traceback = exc, exc.__traceback__
             raise
         else:
             call.value = value

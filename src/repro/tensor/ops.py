@@ -23,6 +23,14 @@ would, so the results match it bit for bit, signed zeros included.
 one op with a hand-written backward, the counterpart of the GPU
 simulator's ``ssm_scan`` kernel: discretization, the diagonal recurrence
 and the contraction with ``C`` in one node instead of a dozen.
+
+:class:`LoraLinear` (``lora_linear``) is a LoRA projection,
+``x @ w.T + ((x @ A.T) @ B.T) * scaling``, as one op in place of the eight
+(three transposes, three matmuls, a scale and an add) that spelling it
+with tensors records. It computes the same numpy expressions in the same
+order as those eight, forward and backward, so it matches them bit for
+bit; the adapter path's input gradient is returned apart from the base
+path's, so the engine adds the two into ``x`` in the composite's order.
 """
 
 from __future__ import annotations
@@ -636,6 +644,56 @@ class SsmScan(Function):
 
 
 # ---------------------------------------------------------------------------
+# LoRA projection — the QLoRA expert's frozen base plus trainable adapter
+# ---------------------------------------------------------------------------
+
+
+class LoraLinear(Function):
+    """``x @ w.T + ((x @ A.T) @ B.T) * scaling`` as one op: ``lora_linear``.
+
+    ``x`` is ``(..., in)``, the base weight ``w`` is ``(out, in)``, the
+    adapter ``A`` is ``(rank, in)`` and ``B`` is ``(out, rank)``. ``x`` is
+    passed twice, once per path, and the backward returns one gradient for
+    each: the engine then adds the base path's into ``x`` before the
+    adapter path's, as it does for the composite graph. A single summed
+    gradient would reorder those additions when two projections read the
+    same ``x`` (SwiGLU's ``w1`` and ``w3``) and change the loss in the last
+    bits. A frozen operand (the base weight, always, under LoRA) gets
+    ``None``.
+    """
+
+    def forward(
+        self, x: np.ndarray, w: np.ndarray, x_adapter: np.ndarray, a: np.ndarray, b: np.ndarray,
+        scaling: float,
+    ) -> np.ndarray:
+        if x.ndim < 2:
+            raise ValueError("lora_linear requires an input with at least 2 dimensions")
+        # ``Tensor * float`` multiplies by a float64 0-d array; so does this.
+        scale = np.asarray(scaling, dtype=float)
+        down = x_adapter @ a.T
+        self.save_for_backward(x, w, a, b, down, scale)
+        return x @ w.T + (down @ b.T) * scale
+
+    def backward(self, grad_out: np.ndarray):
+        x, w, a, b, down, scale = self.saved
+        need_x, need_w, need_x_adapter, need_a, need_b = self.needs_input_grad
+        grad_x = unbroadcast(grad_out @ w, x.shape) if need_x else None
+        grad_w = unbroadcast(np.swapaxes(x, -1, -2) @ grad_out, w.T.shape).T if need_w else None
+        grad_x_adapter = grad_a = grad_b = None
+        if need_x_adapter or need_a or need_b:
+            grad_up = grad_out * scale
+            if need_b:
+                grad_b = unbroadcast(np.swapaxes(down, -1, -2) @ grad_up, b.T.shape).T
+            if need_x_adapter or need_a:
+                grad_down = grad_up @ b
+                if need_x_adapter:
+                    grad_x_adapter = unbroadcast(grad_down @ a, x.shape)
+                if need_a:
+                    grad_a = unbroadcast(np.swapaxes(x, -1, -2) @ grad_down, a.T.shape).T
+        return grad_x, grad_w, grad_x_adapter, grad_a, grad_b
+
+
+# ---------------------------------------------------------------------------
 # Functional wrappers
 # ---------------------------------------------------------------------------
 
@@ -791,3 +849,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
 def ssm_scan(u, delta, a, b, c) -> Tensor:
     return SsmScan.apply(_as_tensor(u), _as_tensor(delta), _as_tensor(a), _as_tensor(b), _as_tensor(c))
+
+
+def lora_linear(x, weight, lora_a, lora_b, scaling: float) -> Tensor:
+    x = _as_tensor(x)
+    return LoraLinear.apply(x, _as_tensor(weight), x, _as_tensor(lora_a), _as_tensor(lora_b), float(scaling))

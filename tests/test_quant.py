@@ -82,6 +82,47 @@ class TestQuantizeDequantize:
         assert quantize(rng.standard_normal(64)).scales.dtype == np.float32
 
 
+def reference_dequantize(qt, dtype=np.float64):
+    """The nibble-unpacking decode that the pair-table decode replaced."""
+    n = qt.num_elements
+    codes = np.empty(((n + qt.block_size - 1) // qt.block_size) * qt.block_size, dtype=np.uint8)
+    codes[0::2] = qt.packed >> 4
+    codes[1::2] = qt.packed & 0x0F
+    values = NF4_CODEBOOK[codes].reshape(-1, qt.block_size) * qt.scales[:, None]
+    return values.reshape(-1)[:n].reshape(qt.shape).astype(dtype)
+
+
+class TestPairTableDecode:
+    """``dequantize`` decodes two codes per byte from a 256-row table; its
+    bytes must be the reference decode's."""
+
+    @pytest.mark.parametrize("shape, block_size", [
+        ((96, 48), 64), ((100,), 64), ((7, 5), 64), ((3,), 64), ((5, 9), 16), ((12,), 6),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference_bytes(self, rng, shape, block_size, dtype):
+        qt = quantize(rng.standard_normal(shape), block_size=block_size)
+        out = qt.dequantize(dtype=dtype)
+        expected = reference_dequantize(qt, dtype)
+        assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
+    def test_all_zero_blocks(self, rng):
+        w = rng.standard_normal(192)
+        w[64:128] = 0.0
+        qt = quantize(w, block_size=64)
+        out = qt.dequantize()
+        assert out.tobytes() == reference_dequantize(qt).tobytes()
+        assert np.all(out[64:128] == 0.0)
+
+    def test_each_call_returns_a_fresh_array(self, rng):
+        qt = quantize(rng.standard_normal((4, 16)))
+        first = qt.dequantize()
+        first[:] = 0.0
+        assert qt.dequantize().tobytes() == reference_dequantize(qt).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     arrays(np.float64, st.integers(1, 300),

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -130,6 +131,43 @@ class TestSingleFlight:
         assert errors == ["leader failed", "leader failed"]
         assert flight.stats()["inflight"] == 0  # failed keys retry fresh
         assert flight.do("k", lambda: "ok") == ("ok", False)
+
+    def test_waiters_share_the_exception_but_not_each_others_frames(self):
+        """Eight racing callers get the leader's exception object; each
+        raise starts from the leader's traceback, so the shared
+        ``__traceback__`` holds one caller's frames, not all of theirs."""
+        flight = SingleFlight()
+        release = threading.Event()
+        barrier = threading.Barrier(8)
+        caught = [None] * 8
+
+        def boom():
+            assert release.wait(10)
+            raise RuntimeError("leader failed")
+
+        def worker(i):
+            barrier.wait()
+            try:
+                flight.do("k", boom)
+            except RuntimeError as exc:
+                caught[i] = (exc, len(traceback.extract_tb(exc.__traceback__)))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        deadline = time.time() + 10
+        while flight.stats()["shared"] < 7:
+            assert time.time() < deadline
+            time.sleep(0.005)
+        release.set()
+        for t in threads:
+            t.join(10)
+        assert len({id(exc) for exc, _depth in caught}) == 1  # the same object
+        # worker -> do -> boom in the leader, and a waiter adds its own
+        # worker -> do: 5 frames, 7 if a thread switch mid-raise lends it
+        # another waiter's two. Re-raising the shared __traceback__ grew
+        # it by two frames per waiter, to 17 here.
+        assert max(depth for _exc, depth in caught) <= 7
 
 
 # ---------------------------------------------------------------------------

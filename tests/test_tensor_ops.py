@@ -374,3 +374,67 @@ class TestSsmScan:
             results.append([out.data, x.grad] + [p.grad.copy() for p in mixer.parameters()])
         for fused, composite in zip(*results):
             np.testing.assert_allclose(fused, composite, rtol=1e-12, atol=1e-14)
+
+
+def lora_composite(x, w, a, b, scaling):
+    """A LoRA projection spelled with separate tensor ops: the graph that
+    ``ops.lora_linear`` replaces and must match bit for bit."""
+    return x @ w.T + ((x @ a.T) @ b.T) * scaling
+
+
+def lora_operands(x_shape, rank=3, out=5, seed=4):
+    rng = np.random.default_rng(seed)
+    inp = x_shape[-1]
+    return [rng.standard_normal(x_shape), rng.standard_normal((out, inp)),
+            rng.standard_normal((rank, inp)), rng.standard_normal((out, rank))]
+
+
+def run_bits(build, arrays, trainable, grad_seed=8):
+    """Forward and backward ``build`` over fresh tensors (``trainable``
+    picks which require grad, by position); the output's and every
+    gradient's bytes."""
+    tensors = [Tensor(a.copy(), requires_grad=i in trainable) for i, a in enumerate(arrays)]
+    out = build(*tensors)
+    out.backward(np.random.default_rng(grad_seed).standard_normal(out.shape))
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+class TestLoraLinear:
+    @pytest.mark.parametrize("x_shape", [(4, 6), (2, 3, 6)])
+    @pytest.mark.parametrize("trainable", [(0, 2, 3), (2, 3), (0, 1, 2, 3), (0, 3)])
+    def test_matches_composite_bit_for_bit(self, x_shape, trainable):
+        """Output and the gradients of x, A and B (and of w, when it
+        trains) are the composite's bytes; a frozen operand gets none."""
+        arrays = lora_operands(x_shape)
+        fused = run_bits(lambda x, w, a, b: ops.lora_linear(x, w, a, b, 0.75), arrays, trainable)
+        assert fused == run_bits(lambda x, w, a, b: lora_composite(x, w, a, b, 0.75), arrays, trainable)
+        assert [g is None for g in fused[1:]] == [i not in trainable for i in range(4)]
+
+    def test_projections_sharing_an_input_match_bit_for_bit(self):
+        """SwiGLU's w1 and w3 read one x: its gradient gathers four paths
+        (two bases, two adapters) in the composite's order."""
+        x, w1, a1, b1 = lora_operands((2, 3, 6), seed=1)
+        _, w3, a3, b3 = lora_operands((2, 3, 6), seed=2)
+
+        def swiglu(project):
+            def build(x, a1, b1, a3, b3):
+                return ops.silu(project(x, Tensor(w1), a1, b1, 2.0)) * project(x, Tensor(w3), a3, b3, 2.0)
+            return build
+
+        arrays, trainable = [x, a1, b1, a3, b3], range(5)
+        assert run_bits(swiglu(ops.lora_linear), arrays, trainable) == \
+            run_bits(swiglu(lora_composite), arrays, trainable)
+
+    def test_grads(self):
+        check_grad(lambda x, w, a, b: ops.lora_linear(x, w, a, b, 0.5), lora_operands((2, 3, 6)))
+
+    def test_one_node_per_projection(self):
+        x, w, a, b = (Tensor(v, requires_grad=i != 1) for i, v in enumerate(lora_operands((4, 6))))
+        out = ops.lora_linear(x, w, a, b, 1.0)
+        assert isinstance(out._ctx, ops.LoraLinear)
+        assert all(parent._ctx is None for parent in out._ctx.parents)
+
+    def test_rejects_1d(self):
+        x, w, a, b = lora_operands((6,))
+        with pytest.raises(ValueError):
+            ops.lora_linear(Tensor(x), Tensor(w), Tensor(a), Tensor(b), 1.0)
