@@ -1,28 +1,24 @@
-"""Scenario: profile a fine-tuning step the way the paper's Section IV does.
+"""Scenario: characterize a fine-tuning step the way the paper's Section IV does.
 
-Produces the Nsight-style stage / layer / kernel reports for Mixtral and
-BlackMamba on a simulated A40, demonstrating the characterization
-takeaways: MoE dominates, backward > forward, optimizer cost under full
-fine-tuning, the memory-bound -> compute-bound transition.
+Prints the Fig. 4 stage, Fig. 5 layer and Fig. 6 kernel breakdowns for
+Mixtral and BlackMamba on a simulated A40 (the rows the experiment report
+shows), then two characterization takeaways: the memory-bound ->
+compute-bound transition as batch grows, and sparse vs dense throughput.
 
 Run:  python examples/characterize_finetuning.py
 """
 
+from repro.experiments import fig4_stages, fig5_layers, fig6_kernels
 from repro.gpu import A40, GPUSimulator
-from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-from repro.profiling import ProfileReport, compare_traces
+from repro.models import MIXTRAL_8X7B
 
 SEQ_LEN = 128
 
 
-def profile_model(sim: GPUSimulator, cfg, batch: int, dense: bool) -> None:
-    trace = sim.simulate_step(
-        cfg, batch, SEQ_LEN, dense=dense,
-        label=f"{cfg.name} {'dense' if dense else 'sparse'} bsz={batch}",
-    )
-    report = ProfileReport(trace)
-    print(report.full_report())
-    print()
+def breakdowns() -> None:
+    for experiment in (fig4_stages, fig5_layers, fig6_kernels):
+        print(experiment.run().to_table())
+        print()
 
 
 def batch_transition(sim: GPUSimulator) -> None:
@@ -44,14 +40,15 @@ def sparse_dense_comparison(sim: GPUSimulator) -> None:
         sim.simulate_step(MIXTRAL_8X7B, 2, SEQ_LEN, dense=False, label="sparse bsz=2"),
         sim.simulate_step(MIXTRAL_8X7B, 8, SEQ_LEN, dense=False, label="sparse bsz=8 (max-ish)"),
     ]
-    print(compare_traces(traces))
+    print(f"{'configuration':<40} {'queries/s':>18}")
+    for trace in traces:
+        print(f"{trace.label:<40} {trace.queries_per_second:18.3f}")
     print()
 
 
 def main() -> None:
+    breakdowns()
     sim = GPUSimulator(A40)
-    profile_model(sim, MIXTRAL_8X7B, batch=10, dense=False)
-    profile_model(sim, BLACKMAMBA_2_8B, batch=1, dense=False)
     batch_transition(sim)
     sparse_dense_comparison(sim)
 

@@ -152,7 +152,6 @@ WALL_CLOCK_CALLS = frozenset(
 #: (the engine underneath is still linted).
 WALL_CLOCK_ALLOWED = (
     "repro.telemetry",
-    "repro.profiling",
     "repro.training.trainer",
     "repro.service",
 )
@@ -167,7 +166,7 @@ class NoWallClock(Rule):
         "store 'never reads the clock' (run ids are functions of their "
         "inputs, so tests and replays are deterministic), and results "
         "must be byte-identical from run to run. Only the "
-        "measurement layer (telemetry, profiling, training.trainer) may "
+        "measurement layer (telemetry, training.trainer, service) may "
         "call time.time()/perf_counter()/datetime.now()."
     )
 

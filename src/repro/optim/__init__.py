@@ -1,8 +1,6 @@
-"""Optimizers and schedules (substrate S3)."""
+"""Optimizers (substrate S3)."""
 
 from .adamw import AdamW
 from .optimizer import Optimizer
-from .scheduler import ConstantLR, LRScheduler, WarmupCosineLR
-from .sgd import SGD
 
-__all__ = ["AdamW", "ConstantLR", "LRScheduler", "Optimizer", "SGD", "WarmupCosineLR"]
+__all__ = ["AdamW", "Optimizer"]

@@ -8,13 +8,19 @@ from typing import List, Optional
 
 @dataclass
 class EpochMetrics:
-    """Aggregates for one fine-tuning epoch."""
+    """Aggregates for one fine-tuning epoch. The three stage sums are the
+    measured Fig. 4 breakdown: forward (loss included), backward
+    (``zero_grad`` included) and optimizer seconds, summed over steps;
+    ``wall_seconds`` also covers batching."""
 
     epoch: int
     mean_loss: float
     num_queries: int
     num_tokens: int
     wall_seconds: float
+    forward_seconds: float
+    backward_seconds: float
+    optimizer_seconds: float
     eval_accuracy: Optional[float] = None
 
     @property

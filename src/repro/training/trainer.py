@@ -6,24 +6,55 @@ gradient checkpointing for Mixtral and full fine-tuning for BlackMamba.
 :class:`FineTuner` implements the same loop over the synthetic datasets;
 :func:`pretrain_language_model` provides the "pre-trained" starting state
 (plain LM objective plus a router load-balancing loss, giving the balanced
-routers that pre-trained Mixtral exhibits in the paper's Fig. 11).
+routers that pre-trained Mixtral exhibits in the paper's Fig. 11). Both
+run every step through :func:`_train_step`, which also times its three
+stages: forward (loss included), backward (``zero_grad`` included) and
+optimizer. :class:`FineTuner` sums them per epoch, giving a measured
+Fig. 4 stage breakdown of the real substrate.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..data import Batch, DataLoader, SyntheticDataset
+from ..data import DataLoader, SyntheticDataset
 from ..nn import cross_entropy
 from ..optim import AdamW
 from .metrics import EpochMetrics, TrainingHistory
 
 
+def _train_step(
+    model, optimizer: AdamW, inputs: np.ndarray, targets: np.ndarray, aux_loss_weight: float = 0.0
+) -> Tuple[float, float, float, float]:
+    """One optimizer step on cross-entropy plus ``aux_loss_weight`` times the
+    routers' balancing loss. Returns the loss and the forward, backward and
+    optimizer seconds."""
+    start = time.perf_counter()
+    loss = cross_entropy(model(inputs), targets)
+    if aux_loss_weight != 0:
+        aux = model.collect_aux_loss()
+        if aux is not None:
+            loss = loss + aux * aux_loss_weight
+    after_forward = time.perf_counter()
+    optimizer.zero_grad()
+    loss.backward()
+    after_backward = time.perf_counter()
+    optimizer.step()
+    after_optimizer = time.perf_counter()
+    return (
+        float(loss.item()),
+        after_forward - start,
+        after_backward - after_forward,
+        after_optimizer - after_backward,
+    )
+
+
 class FineTuner:
-    """Epoch-based supervised fine-tuning driver."""
+    """Epoch-based supervised fine-tuning driver (no balancing term, as in
+    the paper)."""
 
     def __init__(
         self,
@@ -31,49 +62,39 @@ class FineTuner:
         dataset: SyntheticDataset,
         batch_size: int = 8,
         learning_rate: float = 5e-3,
-        weight_decay: float = 0.0,
-        aux_loss_weight: float = 0.0,
         seed: int = 0,
     ) -> None:
         self.model = model
         self.dataset = dataset
         self.batch_size = batch_size
-        self.aux_loss_weight = aux_loss_weight
         self.loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
-        self.optimizer = AdamW(model.parameters(), lr=learning_rate, weight_decay=weight_decay)
+        self.optimizer = AdamW(model.parameters(), lr=learning_rate)
         self.history = TrainingHistory()
-        if aux_loss_weight != 0:
-            self.model.set_aux_loss(True)
-
-    def _step(self, batch: Batch) -> float:
-        logits = self.model(batch.input_ids)
-        loss = cross_entropy(logits, batch.labels)
-        if self.aux_loss_weight != 0:
-            aux = self.model.collect_aux_loss()
-            if aux is not None:
-                loss = loss + aux * self.aux_loss_weight
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return float(loss.item())
 
     def train_epoch(self, epoch: int) -> EpochMetrics:
         self.model.train()
         losses = []
+        stage_seconds = np.zeros(3)  # forward, backward, optimizer
         queries = 0
         tokens = 0
         start = time.perf_counter()
         for batch in self.loader:
-            losses.append(self._step(batch))
+            loss, *seconds = _train_step(self.model, self.optimizer, batch.input_ids, batch.labels)
+            losses.append(loss)
+            stage_seconds += seconds
             queries += batch.batch_size
             tokens += batch.num_tokens
         wall = time.perf_counter() - start
+        forward, backward, optimizer = stage_seconds.tolist()
         return EpochMetrics(
             epoch=epoch,
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
             num_queries=queries,
             num_tokens=tokens,
             wall_seconds=wall,
+            forward_seconds=forward,
+            backward_seconds=backward,
+            optimizer_seconds=optimizer,
         )
 
     def train(
@@ -118,6 +139,7 @@ def pretrain_language_model(
     """
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
     optimizer = AdamW(model.parameters(), lr=learning_rate)
+    pad_id = dataset.vocab.pad_id
     model.set_aux_loss(aux_loss_weight != 0)
     model.train()
     last_loss = float("nan")
@@ -128,18 +150,8 @@ def pretrain_language_model(
             inputs = batch.input_ids
             targets = np.full_like(inputs, -100)
             targets[:, :-1] = inputs[:, 1:]
-            pad_id = dataset.vocab.pad_id
             targets[targets == pad_id] = -100
-            logits = model(inputs)
-            loss = cross_entropy(logits, targets)
-            if aux_loss_weight != 0:
-                aux = model.collect_aux_loss()
-                if aux is not None:
-                    loss = loss + aux * aux_loss_weight
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.item())
+            last_loss, *_ = _train_step(model, optimizer, inputs, targets, aux_loss_weight)
             done += 1
             if done >= steps:
                 break

@@ -99,11 +99,11 @@ class TestRulesFire:
         # timestamps) but stays module-scoped: the engine layers right
         # next to the allowed ones must still trip the rule.
         for denied in ("repro.gpu.simulator", "repro.cluster.planner",
-                       "repro.scenarios.cache", "repro.servicex.other"):
+                       "repro.scenarios.cache", "repro.servicex.other",
+                       "repro.profiling.wallclock"):
             assert lint_source(source, module=denied) != []
-        for allowed in ("repro.telemetry.export", "repro.profiling.wallclock",
-                        "repro.training.trainer", "repro.service.catalog",
-                        "repro.service.app"):
+        for allowed in ("repro.telemetry.export", "repro.training.trainer",
+                        "repro.service.catalog", "repro.service.app"):
             assert lint_source(source, module=allowed) == []
 
     def test_plan_unused_modules_may_import_each_other(self):

@@ -1,41 +1,16 @@
-"""Tests for SGD, AdamW and LR schedules."""
+"""Tests for AdamW."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import AdamW, ConstantLR, SGD, WarmupCosineLR
+from repro.optim import AdamW
 
 
 def make_param(value=1.0, grad=0.5):
     p = Parameter(np.array([value]))
     p.grad = np.array([grad])
     return p
-
-
-class TestSGD:
-    def test_basic_step(self):
-        p = make_param()
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5])
-
-    def test_momentum_accumulates(self):
-        p = make_param()
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        opt.step()
-        p.grad = np.array([0.5])
-        opt.step()
-        # v1 = 0.5; v2 = 0.9*0.5 + 0.5 = 0.95; total update = 0.1*(0.5+0.95)
-        np.testing.assert_allclose(p.data, [1.0 - 0.1 * (0.5 + 0.95)])
-
-    def test_skips_none_grad(self):
-        p = Parameter(np.array([1.0]))
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([make_param()], lr=0.1, momentum=1.5)
 
 
 class TestAdamW:
@@ -68,6 +43,17 @@ class TestAdamW:
         # Gradient is zero, so only decay applies: 2 * (1 - 0.1*0.5)
         np.testing.assert_allclose(p.data, [2.0 * 0.95])
 
+    def test_skips_none_grad(self):
+        """A parameter without a gradient (a sparse MoE expert that routed
+        no tokens) is left untouched and gets no moment buffers."""
+        idle = Parameter(np.array([1.0]))
+        live = make_param()
+        opt = AdamW([idle, live], lr=0.1)
+        opt.step()
+        np.testing.assert_array_equal(idle.data, [1.0])
+        assert id(idle) not in opt._moment1 and id(idle) not in opt._moment2
+        assert id(live) in opt._moment1
+
     def test_only_trainable_params_collected(self):
         frozen = Parameter(np.ones(3), requires_grad=False)
         live = make_param()
@@ -94,26 +80,3 @@ class TestAdamW:
         opt = AdamW([p], lr=0.1)
         opt.zero_grad()
         assert p.grad is None
-
-
-class TestSchedulers:
-    def test_constant(self):
-        opt = AdamW([make_param()], lr=0.01)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            assert sched.step() == pytest.approx(0.01)
-
-    def test_warmup_then_decay(self):
-        opt = AdamW([make_param()], lr=1.0)
-        sched = WarmupCosineLR(opt, warmup_steps=10, total_steps=110)
-        warm = [sched.step() for _ in range(9)]
-        assert warm == sorted(warm)  # increasing during warmup
-        assert warm[-1] < 1.0
-        for _ in range(101):
-            last = sched.step()
-        assert last == pytest.approx(0.0, abs=1e-6)
-
-    def test_invalid_total_steps(self):
-        opt = AdamW([make_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            WarmupCosineLR(opt, warmup_steps=10, total_steps=5)
