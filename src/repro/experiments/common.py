@@ -48,6 +48,10 @@ class ExperimentResult:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     def add(self, label: str, measured: Any, paper: Optional[Any] = None, note: str = "") -> None:
+        """Append a row; a label already present raises ``ValueError``,
+        since ``row(label)`` and the report's readers key rows by label."""
+        if any(row.label == label for row in self.rows):
+            raise ValueError(f"{self.experiment_id} already has a row labeled {label!r}")
         self.rows.append(ExperimentRow(label=label, measured=measured, paper=paper, note=note))
 
     def row(self, label: str) -> ExperimentRow:

@@ -32,7 +32,6 @@ def run(gpu=A40, cache: SimulationCache | None = None) -> ExperimentResult:
             for layer_name, seconds in sorted(layers.items()):
                 result.add(f"{tag}_{layer_name}_share", seconds / total)
             moe_shares.append(trace.moe_fraction())
-            result.add(f"{tag}_moe_share", trace.moe_fraction())
     result.add("average_moe_share", float(np.mean(moe_shares)), PAPER_MOE_SHARE_AVG,
                note="paper: MoE accounts for ~85% on average")
     return result

@@ -1450,3 +1450,177 @@ class TestHTTP:
                 assert json.loads(response.read())["kind"] == "cluster"
             finally:
                 conn.close()
+
+    # -- the request parser ---------------------------------------------
+    def _rejected(self, data, status):
+        """``data`` gets one JSON error reply with ``status``, then close;
+        returns the error message."""
+        service = PlanningService()
+        with running(service) as server:
+            head, body = self._raw_exchange(server, data)
+        assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert b"\r\nContent-Type: application/json\r\n" in head
+        assert b"\r\nConnection: close" in head
+        assert service.stats_payload()["requests"]["total"] == 0  # never planned
+        return json.loads(body)["error"]  # one JSON object, nothing after it
+
+    def test_chunked_body_gets_one_json_501_then_close(self):
+        """The chunk bytes used to be planned as ``{}`` and then read as a
+        second request: two replies to one request."""
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        error = self._rejected(
+            b"POST /plan/cluster HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(data) + data + b"\r\n0\r\n\r\n", 501)
+        assert "Transfer-Encoding" in error
+
+    def test_conflicting_content_lengths_get_400_then_close(self):
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        error = self._rejected(
+            f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(data)}\r\nContent-Length: 2\r\n\r\n"
+            .encode("ascii") + data, 400)
+        assert "Content-Length" in error and repr(str(len(data))) in error
+
+    def test_repeated_equal_content_length_is_planned(self):
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        with running(PlanningService()) as server:
+            head, body = self._raw_exchange(server, (
+                f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                f"Content-Length: {len(data)}\r\nContent-Length: {len(data)}\r\n\r\n"
+            ).encode("ascii") + data)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["kind"] == "cluster"
+
+    def test_folded_header_line_gets_400(self):
+        error = self._rejected(
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Note: one\r\n  two\r\n\r\n", 400)
+        assert "obs-fold" in error
+
+    @pytest.mark.parametrize("line, status", [
+        ("GET /healthz HTTP/2.0", 505),
+        ("GET /healthz HTTP/0.9", 505),
+        ("GET /healthz", 400),  # HTTP/0.9's two-word form
+        ("GET /healthz HTTP/1.1 extra", 400),
+        ("GET /healthz HTTP/one", 400),
+    ])
+    def test_bad_request_line_gets_json_error(self, line, status):
+        error = self._rejected(f"{line}\r\nHost: x\r\n\r\n".encode("ascii"), status)
+        assert line.split()[-1] in error
+
+    def test_unknown_method_gets_json_501(self):
+        assert "'PUT'" in self._rejected(b"PUT /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 501)
+
+    def test_101_header_lines_get_431(self):
+        headers = "".join(f"X-Field-{i}: {i}\r\n" for i in range(101))
+        error = self._rejected(
+            f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode("ascii"), 431)
+        assert "100 header lines" in error
+
+    def test_100_header_lines_are_accepted(self):
+        headers = "".join(f"X-Field-{i}: {i}\r\n" for i in range(99))
+        with running(PlanningService()) as server:
+            head, body = self._raw_exchange(server, (
+                f"GET /healthz HTTP/1.1\r\n{headers}Connection: close\r\n\r\n"
+            ).encode("ascii"))
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body) == {"status": "ok"}
+
+    def test_70kb_header_line_gets_431(self):
+        error = self._rejected(
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431)
+        assert "65536 bytes" in error
+
+    def test_header_names_are_case_insensitive(self):
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        with running(PlanningService()) as server:
+            # CONNECTION must be honoured too, or the read below never ends.
+            head, body = self._raw_exchange(server, (
+                f"POST /plan/cluster HTTP/1.1\r\nhost: x\r\nCONNECTION: close\r\n"
+                f"content-LENGTH: {len(data)}\r\n\r\n").encode("ascii") + data)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["kind"] == "cluster"
+
+    def test_http10_closes_unless_kept_alive(self):
+        with running(PlanningService()) as server:
+            head, body = self._raw_exchange(
+                server, b"GET /healthz HTTP/1.0\r\n\r\nGET /healthz HTTP/1.0\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert json.loads(body) == {"status": "ok"}  # only the first is answered
+
+            head, body = self._raw_exchange(
+                server, b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                        b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert body.count(b"HTTP/1.1 200 ") == 1  # the second reply, after the first body
+
+    def test_expect_100_continue_arrives_before_the_body(self):
+        data = json.dumps(MIXTRAL_A40).encode("utf-8")
+        with running(PlanningService()) as server:
+            with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+                sock.sendall((
+                    f"POST /plan/cluster HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                    f"Expect: 100-continue\r\nContent-Length: {len(data)}\r\n\r\n"
+                ).encode("ascii"))
+                # An interim reply held in a write buffer would never
+                # arrive: the server would wait for the body, the client
+                # for the reply.
+                sock.settimeout(5.0)
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(1)
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.settimeout(30)
+                sock.sendall(data)
+                received = b""
+                with contextlib.suppress(ConnectionResetError):
+                    while chunk := sock.recv(65536):
+                        received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["kind"] == "cluster"
+
+    def test_each_reply_leaves_in_one_send(self):
+        """Status line, headers and body of a warm reply are one socket
+        send, a spot plan's ~10 KB included."""
+        sends = []
+
+        class CountingSocket:
+            """The accepted socket, recording the size of each send."""
+            makefile = socket.socket.makefile  # so the handler's streams send through here
+
+            def __init__(self, sock):
+                self._sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def send(self, data):
+                sends.append(len(data))
+                return self._sock.send(data)
+
+            def sendall(self, data):
+                sends.append(len(data))
+                return self._sock.sendall(data)
+
+        with running(PlanningService()) as server:
+            handler = server.RequestHandlerClass  # per-server subclass
+            original_setup = handler.setup
+
+            def setup(self):
+                self.request = CountingSocket(self.request)
+                original_setup(self)
+
+            handler.setup = setup
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=120)
+            try:
+                for path, body in [("/plan/cluster", MIXTRAL_A40),
+                                   ("/plan/spot", {"model": "mixtral"})]:
+                    for _ in range(2):  # cold, then warm
+                        sends.clear()
+                        conn.request("POST", path, body=json.dumps(body).encode("utf-8"))
+                        response = conn.getresponse()
+                        data = response.read()
+                        assert response.status == 200
+                    assert len(sends) == 1 and sends[0] > len(data) > 4000, (path, sends)
+            finally:
+                conn.close()
